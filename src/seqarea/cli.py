@@ -6,10 +6,10 @@ Subcommands:
   verify  sweep a parameter grid and cross-check oracle vs closed form
   table   emit the polygonal-coefficient or third-order reference tables
 
-Every subcommand accepts ``--format {json,csv,markdown}`` (default markdown),
-``--out FILE`` and ``--seed N``.  Exit codes: 0 success / all match,
-1 verification mismatch, 2 usage error.  Rationals are always emitted as
-exact ``p/q`` strings, never floats.
+Every subcommand accepts ``--format {json,csv,markdown}`` (default markdown)
+and ``--out FILE``.  Exit codes: 0 success / all match, 1 verification
+mismatch, 2 usage or I/O error.  Rationals are always emitted as exact
+``p/q`` strings in full, never floats.
 """
 
 from __future__ import annotations
@@ -18,20 +18,15 @@ import argparse
 import csv
 import io
 import json
-import random
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 from typing import Sequence
 
-from .closedforms import mgon_area, polygonal_mgon_area
+from .closedforms import closed_area_for
 from .geometry import PolygonSpec, build_vertices, shoelace_area
 from .numerics import rational_str
-from .sequences import (
-    FamilyKind,
-    SequenceFamily,
-    UnsupportedFamilyError,
-    family_term,
-)
+from .sequences import FamilyKind, SequenceFamily, family_term
 from .verify import (
     COLLINEAR_KINDS,
     PolygonalTable,
@@ -44,32 +39,8 @@ from .verify import (
     verify_family,
 )
 
-DEFAULT_SEED = 20240901
-
-FAMILY_NAMES = [
-    "fibonacci",
-    "lucas",
-    "generalized",
-    "pell",
-    "pell-lucas",
-    "jacobsthal",
-    "jacobsthal-lucas",
-    "polygonal",
-    "tribonacci",
-    "perrin",
-    "padovan",
-]
-
-_SIMPLE_FAMILIES = {
-    "fibonacci": SequenceFamily.fibonacci,
-    "lucas": SequenceFamily.lucas,
-    "pell": SequenceFamily.pell,
-    "pell-lucas": SequenceFamily.pell_lucas,
-    "jacobsthal": SequenceFamily.jacobsthal,
-    "jacobsthal-lucas": SequenceFamily.jacobsthal_lucas,
-    "tribonacci": SequenceFamily.tribonacci,
-    "perrin": SequenceFamily.perrin,
-}
+# Every family but ``custom``, which needs a RecurrenceSpec; in FamilyKind order.
+FAMILY_NAMES = [kind.value for kind in FamilyKind if kind is not FamilyKind.CUSTOM]
 
 
 def parse_range(text: str) -> range:
@@ -117,29 +88,47 @@ def resolve_family(args: argparse.Namespace) -> SequenceFamily:
         return SequenceFamily.polygonal(rank)
     if name == "padovan":
         return SequenceFamily.padovan(initial) if initial else SequenceFamily.padovan()
-    return _SIMPLE_FAMILIES[name]()
-
-
-def closed_area_for(family: SequenceFamily, k: int, m: int) -> Fraction:
-    """The closed-form m-gon area, or an error for families without one."""
-    if family.kind is FamilyKind.POLYGONAL:
-        assert family.rank is not None
-        return polygonal_mgon_area(family.rank, k, m)
-    if family.is_binet:
-        return mgon_area(family, k, m)
-    raise UnsupportedFamilyError(f"no closed form for {family.label}")
+    return SequenceFamily(FamilyKind(name))
 
 
 # ---------------------------------------------------------------------------
 # Serialization
 
 
-def _csv_text(header: list[str], rows: list[list[str]]) -> str:
+def _csv_field(value: object) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(value).lower()
+    return str(value)
+
+
+def _emit_records(
+    payload: object,
+    fmt: str,
+    records: list[dict[str, object]] | None = None,
+    header: list[str] | None = None,
+) -> str:
+    """A result as JSON (``payload``) or as CSV with one row per record.
+
+    The records default to ``payload["cells"]`` and the header to the keys
+    of the first record.
+    """
+    if fmt == "json":
+        return json.dumps(payload, indent=2) + "\n"
+    if records is None:
+        records = payload["cells"]  # type: ignore[index]
+    if header is None:
+        header = list(records[0])
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(rows)
+    writer.writerows([_csv_field(r[key]) for key in header] for r in records)
     return buf.getvalue()
+
+
+def _optional_str(x: Fraction | None) -> str | None:
+    return None if x is None else rational_str(x)
 
 
 def _markdown_table(header: list[str], rows: list[list[str]]) -> str:
@@ -152,11 +141,10 @@ def _markdown_table(header: list[str], rows: list[list[str]]) -> str:
 
 
 def render_gen(values: list[int], fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps([str(v) for v in values], indent=2) + "\n"
-    if fmt == "csv":
-        return _csv_text(["n", "value"], [[str(i), str(v)] for i, v in enumerate(values)])
-    return "\n".join(str(v) for v in values) + ("\n" if values else "")
+    if fmt == "markdown":
+        return "".join(f"{v}\n" for v in values)
+    records = [{"n": i, "value": v} for i, v in enumerate(values)]
+    return _emit_records([str(v) for v in values], fmt, records, ["n", "value"])
 
 
 def render_area(
@@ -167,32 +155,16 @@ def render_area(
     fmt: str,
 ) -> str:
     match = oracle == closed if method == "both" else None
-    if fmt == "json":
-        payload: dict[str, object] = {
-            "family": spec.family.label,
-            "n": spec.n,
-            "k": spec.k,
-            "m": spec.m,
-            "method": method,
+    if fmt != "markdown":
+        where = {"family": spec.family.label, "n": spec.n, "k": spec.k, "m": spec.m}
+        found = {
+            "oracle": _optional_str(oracle),
+            "closed": _optional_str(closed),
+            "match": match,
         }
-        if oracle is not None:
-            payload["oracle"] = rational_str(oracle)
-        if closed is not None:
-            payload["closed"] = rational_str(closed)
-        if match is not None:
-            payload["match"] = match
-        return json.dumps(payload, indent=2) + "\n"
-    if fmt == "csv":
-        row = [
-            spec.family.label,
-            str(spec.n),
-            str(spec.k),
-            str(spec.m),
-            rational_str(oracle) if oracle is not None else "",
-            rational_str(closed) if closed is not None else "",
-            "" if match is None else str(match).lower(),
-        ]
-        return _csv_text(["family", "n", "k", "m", "oracle", "closed", "match"], [row])
+        payload = {**where, "method": method}
+        payload.update((key, v) for key, v in found.items() if v is not None)
+        return _emit_records(payload, fmt, [{**where, **found}])
     if method == "both":
         assert oracle is not None and closed is not None
         verdict = "MATCH" if match else "MISMATCH"
@@ -208,7 +180,7 @@ def render_area(
 def render_report(report: VerificationReport, fmt: str) -> str:
     """Serialize a report; wall-clock time is deliberately omitted so equal
     inputs give byte-identical output."""
-    if fmt == "json":
+    if fmt != "markdown":
         payload = {
             "grid": report.grid,
             "cells": [
@@ -218,11 +190,7 @@ def render_report(report: VerificationReport, fmt: str) -> str:
                     "k": c.spec.k,
                     "m": c.spec.m,
                     "oracle": rational_str(c.oracle_area),
-                    "closed": (
-                        rational_str(c.closed_area)
-                        if c.closed_area is not None
-                        else None
-                    ),
+                    "closed": _optional_str(c.closed_area),
                     "match": c.match,
                     "note": c.note,
                 }
@@ -231,24 +199,7 @@ def render_report(report: VerificationReport, fmt: str) -> str:
             "pass_count": report.pass_count,
             "fail_count": report.fail_count,
         }
-        return json.dumps(payload, indent=2) + "\n"
-    if fmt == "csv":
-        rows = [
-            [
-                c.spec.family.label,
-                str(c.spec.n),
-                str(c.spec.k),
-                str(c.spec.m),
-                rational_str(c.oracle_area),
-                rational_str(c.closed_area) if c.closed_area is not None else "",
-                str(c.match).lower(),
-                c.note,
-            ]
-            for c in report.cells
-        ]
-        return _csv_text(
-            ["family", "n", "k", "m", "oracle", "closed", "match", "note"], rows
-        )
+        return _emit_records(payload, fmt)
     rows = [
         [
             str(c.spec.n),
@@ -270,34 +221,13 @@ def render_report(report: VerificationReport, fmt: str) -> str:
 
 
 def render_polygonal_table(table: PolygonalTable, fmt: str) -> str:
-    if fmt == "json":
+    if fmt != "markdown":
         payload = {
             "m_values": list(table.m_values),
             "ranks": list(table.ranks),
-            "cells": [
-                {
-                    "m": c.m,
-                    "rank": c.rank,
-                    "coefficient": c.coefficient,
-                    "published": c.published,
-                    "match": c.match,
-                }
-                for c in table.cells
-            ],
+            "cells": [asdict(c) for c in table.cells],
         }
-        return json.dumps(payload, indent=2) + "\n"
-    if fmt == "csv":
-        rows = [
-            [
-                str(c.m),
-                str(c.rank),
-                str(c.coefficient),
-                "" if c.published is None else str(c.published),
-                "" if c.match is None else str(c.match).lower(),
-            ]
-            for c in table.cells
-        ]
-        return _csv_text(["m", "rank", "coefficient", "published", "match"], rows)
+        return _emit_records(payload, fmt)
     header = ["m"] + [rank_name(r) for r in table.ranks]
     rows = []
     for m in table.m_values:
@@ -323,37 +253,21 @@ def render_polygonal_table(table: PolygonalTable, fmt: str) -> str:
 
 
 def render_third_order_table(table: ThirdOrderTable, fmt: str) -> str:
-    if fmt == "json":
+    if fmt != "markdown":
         payload = {
             "n": table.n,
             "k_max": table.k_max,
             "padovan_initial": list(table.padovan_initial),
             "cells": [
                 {
-                    "column": c.column,
-                    "k": c.k,
+                    **asdict(c),
                     "computed": rational_str(c.computed),
-                    "published": (
-                        rational_str(c.published) if c.published is not None else None
-                    ),
-                    "status": c.status,
+                    "published": _optional_str(c.published),
                 }
                 for c in table.cells
             ],
         }
-        return json.dumps(payload, indent=2) + "\n"
-    if fmt == "csv":
-        rows = [
-            [
-                c.column,
-                str(c.k),
-                rational_str(c.computed),
-                rational_str(c.published) if c.published is not None else "",
-                c.status,
-            ]
-            for c in table.cells
-        ]
-        return _csv_text(["column", "k", "computed", "published", "status"], rows)
+        return _emit_records(payload, fmt)
 
     def cell_text(column: str, k: int) -> str:
         c = table.cell(column, k)
@@ -445,12 +359,6 @@ def _common_options() -> argparse.ArgumentParser:
         help="output format (default: markdown)",
     )
     common.add_argument("--out", metavar="FILE", help="write output to FILE")
-    common.add_argument(
-        "--seed",
-        type=int,
-        default=DEFAULT_SEED,
-        help="seed for any randomized checks (fixed default for reproducibility)",
-    )
     return common
 
 
@@ -540,14 +448,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    # Exact values print in full; Python 3.11 (and 3.10.7+) otherwise
+    # refuses int-to-str conversions beyond 4,300 digits.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    random.seed(args.seed)
     try:
         return args.handler(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -3,7 +3,8 @@
 Two independent layers are provided on purpose.  The family-specific
 formulas (:func:`closed_triangle_area`, :func:`mgon_area`,
 :func:`polygonal_triangle_area`, :func:`polygonal_mgon_area`) use only
-integer sequence terms.  The general formulas
+integer sequence terms; :func:`closed_area_for` picks the m-gon one for a
+family.  The general formulas
 (:func:`general_triangle_area`, :func:`general_mgon_area`) evaluate the
 underlying factored expressions in exact quadratic-field arithmetic and must
 agree with both the family formulas and the shoelace oracle.
@@ -199,3 +200,13 @@ def polygonal_mgon_area(rank: int, k: int, m: int) -> Fraction:
     tetra = m * (m - 1) * (m - 2)
     assert tetra % 6 == 0
     return Fraction(4 * (tetra // 6) * (rank - 2) ** 2 * k**4)
+
+
+def closed_area_for(family: SequenceFamily, k: int, m: int) -> Fraction:
+    """The closed-form m-gon area, or an error for families without one."""
+    if family.kind is FamilyKind.POLYGONAL:
+        assert family.rank is not None
+        return polygonal_mgon_area(family.rank, k, m)
+    if family.is_binet:
+        return mgon_area(family, k, m)
+    raise UnsupportedFamilyError(f"no closed form for {family.label}")

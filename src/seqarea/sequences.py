@@ -173,28 +173,28 @@ class SequenceFamily:
         return self.kind.value
 
 
+# The recurrences of the families that take no parameters, built once.
+_PRESETS: dict[FamilyKind, RecurrenceSpec] = {
+    FamilyKind.FIBONACCI: RecurrenceSpec(2, (1, 1), (0, 1), "fibonacci"),
+    FamilyKind.LUCAS: RecurrenceSpec(2, (1, 1), (2, 1), "lucas"),
+    FamilyKind.PELL: RecurrenceSpec(2, (2, 1), (0, 1), "pell"),
+    FamilyKind.PELL_LUCAS: RecurrenceSpec(2, (2, 1), (2, 2), "pell-lucas"),
+    FamilyKind.JACOBSTHAL: RecurrenceSpec(2, (1, 2), (0, 1), "jacobsthal"),
+    FamilyKind.JACOBSTHAL_LUCAS: RecurrenceSpec(2, (1, 2), (2, 1), "jacobsthal-lucas"),
+    FamilyKind.TRIBONACCI: RecurrenceSpec(3, (1, 1, 1), (0, 1, 1), "tribonacci"),
+    FamilyKind.PERRIN: RecurrenceSpec(3, (0, 1, 1), (3, 0, 2), "perrin"),
+}
+
+
 def preset(family: SequenceFamily) -> RecurrenceSpec:
     """The fixed recurrence behind a family (polygonal has none: closed form only)."""
     kind = family.kind
-    if kind is FamilyKind.FIBONACCI:
-        return RecurrenceSpec(2, (1, 1), (0, 1), "fibonacci")
-    if kind is FamilyKind.LUCAS:
-        return RecurrenceSpec(2, (1, 1), (2, 1), "lucas")
+    spec = _PRESETS.get(kind)
+    if spec is not None:
+        return spec
     if kind is FamilyKind.GENERALIZED_FIBONACCI:
         assert family.s is not None and family.t is not None
         return RecurrenceSpec(2, (1, 1), (family.t - family.s, family.s), family.label)
-    if kind is FamilyKind.PELL:
-        return RecurrenceSpec(2, (2, 1), (0, 1), "pell")
-    if kind is FamilyKind.PELL_LUCAS:
-        return RecurrenceSpec(2, (2, 1), (2, 2), "pell-lucas")
-    if kind is FamilyKind.JACOBSTHAL:
-        return RecurrenceSpec(2, (1, 2), (0, 1), "jacobsthal")
-    if kind is FamilyKind.JACOBSTHAL_LUCAS:
-        return RecurrenceSpec(2, (1, 2), (2, 1), "jacobsthal-lucas")
-    if kind is FamilyKind.TRIBONACCI:
-        return RecurrenceSpec(3, (1, 1, 1), (0, 1, 1), "tribonacci")
-    if kind is FamilyKind.PERRIN:
-        return RecurrenceSpec(3, (0, 1, 1), (3, 0, 2), "perrin")
     if kind is FamilyKind.PADOVAN:
         initial = family.initial or DEFAULT_PADOVAN_INITIAL
         return RecurrenceSpec(3, (0, 1, 1), tuple(initial), family.label)

@@ -12,9 +12,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
-from .closedforms import mgon_area, polygonal_mgon_area
+from .closedforms import closed_area_for, polygonal_mgon_area
 from .geometry import PolygonSpec, build_vertices, collinear, shoelace_area
 from .sequences import FamilyKind, SequenceFamily, UnsupportedFamilyError
 
@@ -58,13 +58,6 @@ def _as_range(values: Iterable[int], name: str) -> list[int]:
     return out
 
 
-def _grid_label(family: SequenceFamily, ns, ks, ms) -> str:
-    return (
-        f"family={family.label} n={ns[0]}..{ns[-1]} "
-        f"k={ks[0]}..{ks[-1]} m={ms[0]}..{ms[-1]}"
-    )
-
-
 def _check_guardrail(ns: Sequence[int], ks: Sequence[int], ms: Sequence[int]) -> None:
     worst = max(ns) + (2 * max(ms) - 1) * max(ks)
     if worst > MAX_SEQUENCE_INDEX:
@@ -74,16 +67,34 @@ def _check_guardrail(ns: Sequence[int], ks: Sequence[int], ms: Sequence[int]) ->
         )
 
 
-def _assemble(
-    grid: str, cells: list[VerificationCell], started: float
+def _sweep(
+    family: SequenceFamily,
+    n_range: Iterable[int],
+    k_range: Iterable[int],
+    m_range: Iterable[int],
+    judge: Callable[[PolygonSpec], VerificationCell],
 ) -> VerificationReport:
-    passed = sum(1 for c in cells if c.closed_area is not None and c.match)
-    failed = sum(1 for c in cells if c.closed_area is not None and not c.match)
+    """Judge every (n, k, m) cell in fixed order: n outer, k middle, m inner.
+
+    Cells with no closed area count toward neither total.
+    """
+    ns = _as_range(n_range, "n")
+    ks = _as_range(k_range, "k")
+    ms = _as_range(m_range, "m")
+    _check_guardrail(ns, ks, ms)
+    started = time.perf_counter()
+    cells = tuple(
+        judge(PolygonSpec(family, n, k, m)) for n in ns for k in ks for m in ms
+    )
+    checked = [c.match for c in cells if c.closed_area is not None]
     return VerificationReport(
-        grid=grid,
-        cells=tuple(cells),
-        pass_count=passed,
-        fail_count=failed,
+        grid=(
+            f"family={family.label} n={ns[0]}..{ns[-1]} "
+            f"k={ks[0]}..{ks[-1]} m={ms[0]}..{ms[-1]}"
+        ),
+        cells=cells,
+        pass_count=checked.count(True),
+        fail_count=checked.count(False),
         elapsed=time.perf_counter() - started,
     )
 
@@ -103,26 +114,13 @@ def verify_family(
         raise UnsupportedFamilyError(
             f"{family.label} has no closed form to verify against"
         )
-    ns = _as_range(n_range, "n")
-    ks = _as_range(k_range, "k")
-    ms = _as_range(m_range, "m")
-    _check_guardrail(ns, ks, ms)
-    started = time.perf_counter()
-    cells: list[VerificationCell] = []
-    for n in ns:
-        for k in ks:
-            for m in ms:
-                spec = PolygonSpec(family, n, k, m)
-                oracle = shoelace_area(build_vertices(spec))
-                if family.kind is FamilyKind.POLYGONAL:
-                    assert family.rank is not None
-                    closed = polygonal_mgon_area(family.rank, k, m)
-                else:
-                    closed = mgon_area(family, k, m)
-                cells.append(
-                    VerificationCell(spec, oracle, closed, oracle == closed)
-                )
-    return _assemble(_grid_label(family, ns, ks, ms), cells, started)
+
+    def judge(spec: PolygonSpec) -> VerificationCell:
+        oracle = shoelace_area(build_vertices(spec))
+        closed = closed_area_for(family, spec.k, spec.m)
+        return VerificationCell(spec, oracle, closed, oracle == closed)
+
+    return _sweep(family, n_range, k_range, m_range, judge)
 
 
 def verify_collinearity(
@@ -141,31 +139,21 @@ def verify_collinearity(
             f"collinearity verification applies to jacobsthal families, "
             f"not {family.label}"
         )
-    ns = _as_range(n_range, "n")
-    ks = _as_range(k_range, "k")
-    ms = _as_range(m_range, "m")
-    _check_guardrail(ns, ks, ms)
-    started = time.perf_counter()
     zero = Fraction(0)
-    cells: list[VerificationCell] = []
-    for n in ns:
-        for k in ks:
-            for m in ms:
-                spec = PolygonSpec(family, n, k, m)
-                poly = build_vertices(spec)
-                is_line = collinear(poly.vertices)
-                oracle = shoelace_area(poly)
-                ok = is_line and oracle == zero
-                cells.append(
-                    VerificationCell(
-                        spec,
-                        oracle,
-                        zero,
-                        ok,
-                        note="collinear" if is_line else "NOT COLLINEAR",
-                    )
-                )
-    return _assemble(_grid_label(family, ns, ks, ms), cells, started)
+
+    def judge(spec: PolygonSpec) -> VerificationCell:
+        poly = build_vertices(spec)
+        is_line = collinear(poly.vertices)
+        oracle = shoelace_area(poly)
+        return VerificationCell(
+            spec,
+            oracle,
+            zero,
+            is_line and oracle == zero,
+            note="collinear" if is_line else "NOT COLLINEAR",
+        )
+
+    return _sweep(family, n_range, k_range, m_range, judge)
 
 
 # ---------------------------------------------------------------------------

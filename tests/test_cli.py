@@ -5,7 +5,15 @@ import subprocess
 import sys
 from fractions import Fraction
 
-from seqarea import cli
+from seqarea import (
+    PolygonSpec,
+    SequenceFamily,
+    build_vertices,
+    cli,
+    closedforms,
+    rational_str,
+    shoelace_area,
+)
 
 EXPECTED_POLYGONAL_MARKDOWN = """\
 Coefficient of k^4 in the m-gon area on polygonal-number vertices
@@ -105,7 +113,7 @@ class TestArea:
         assert payload["match"] is True
 
     def test_mismatch_exits_one(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "mgon_area", lambda family, k, m: Fraction(999))
+        monkeypatch.setattr(closedforms, "mgon_area", lambda family, k, m: Fraction(999))
         code, out, _ = run(
             capsys, "area", "fibonacci", "--n", "1", "--k", "1", "--m", "3",
             "--method", "both",
@@ -125,6 +133,13 @@ class TestArea:
         code, out, _ = run(capsys, "area", "tribonacci", "--n", "1", "--k", "2", "--m", "3")
         assert code == 0
         assert out == "64\n"
+
+    def test_values_beyond_4300_digits_print_in_full(self, capsys):
+        code, out, _ = run(capsys, "area", "tribonacci", "--n", "34000", "--k", "3", "--m", "3")
+        assert code == 0
+        spec = PolygonSpec(SequenceFamily.tribonacci(), 34000, 3, 3)
+        assert out == rational_str(shoelace_area(build_vertices(spec))) + "\n"
+        assert len(out) > 4300
 
     def test_invalid_spec_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "area", "fibonacci", "--n", "1", "--k", "0", "--m", "3")
@@ -174,9 +189,7 @@ class TestVerify:
         assert first == second
 
     def test_failing_grid_exits_one(self, capsys, monkeypatch):
-        import seqarea.verify as verify_mod
-
-        monkeypatch.setattr(verify_mod, "mgon_area", lambda family, k, m: Fraction(999))
+        monkeypatch.setattr(closedforms, "mgon_area", lambda family, k, m: Fraction(999))
         code, out, _ = run(
             capsys, "verify", "fibonacci", "--n", "1..1", "--k", "1..1", "--m", "3..3"
         )
@@ -281,11 +294,6 @@ class TestArgumentHandling:
         assert code == 0
         assert json.loads(out)["pass_count"] == 1
 
-    def test_seed_flag_accepted(self, capsys):
-        code, out, _ = run(capsys, "gen", "fibonacci", "--count", "3", "--seed", "7")
-        assert code == 0
-        assert out.splitlines() == ["0", "1", "1"]
-
     def test_out_writes_file(self, tmp_path, capsys):
         target = tmp_path / "report.json"
         code, out, _ = run(
@@ -295,6 +303,17 @@ class TestArgumentHandling:
         assert code == 0
         assert out == ""
         assert json.loads(target.read_text())["fail_count"] == 0
+
+    def test_unwritable_out_is_io_error(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "x.md"
+        code, out, err = run(
+            capsys, "verify", "fibonacci", "--n", "0..2", "--k", "1..2", "--m", "3..4",
+            "--out", str(target),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(target) in err
 
     def test_help_exits_zero(self, capsys):
         assert cli.main(["--help"]) == 0
