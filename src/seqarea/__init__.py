@@ -44,10 +44,12 @@ from .sequences import (
     binet_eval,
     binet_params,
     family_term,
+    family_terms,
     iter_terms,
     polygonal_number,
     preset,
     term,
+    terms,
 )
 from .verify import (
     PolygonalTable,
@@ -90,6 +92,7 @@ __all__ = [
     "closed_triangle_area",
     "collinear",
     "family_term",
+    "family_terms",
     "general_mgon_area",
     "general_triangle_area",
     "iter_terms",
@@ -103,6 +106,7 @@ __all__ = [
     "shoelace_area",
     "shoelace_signed",
     "term",
+    "terms",
     "third_order_table",
     "triangle_area_det",
     "verify_collinearity",

@@ -26,7 +26,7 @@ from typing import Sequence
 from .closedforms import closed_area_for
 from .geometry import PolygonSpec, build_vertices, shoelace_area
 from .numerics import rational_str
-from .sequences import FamilyKind, SequenceFamily, family_term
+from .sequences import MAX_TERM_INDEX, FamilyKind, SequenceFamily, family_terms
 from .verify import (
     COLLINEAR_KINDS,
     PolygonalTable,
@@ -303,11 +303,20 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _check_term_budget(index: int) -> None:
+    if index > MAX_TERM_INDEX:
+        raise ValueError(
+            f"request reaches sequence index {index}, beyond the "
+            f"{MAX_TERM_INDEX} term-index budget"
+        )
+
+
 def _cmd_gen(args: argparse.Namespace) -> int:
     if args.count < 0:
         raise ValueError(f"--count must be >= 0, got {args.count}")
+    _check_term_budget(args.count - 1)
     family = resolve_family(args)
-    values = [family_term(family, i) for i in range(args.count)]
+    values = family_terms(family, 0, args.count)
     _emit(render_gen(values, args.format), args.out)
     return 0
 
@@ -315,6 +324,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _cmd_area(args: argparse.Namespace) -> int:
     family = resolve_family(args)
     spec = PolygonSpec(family, args.n, args.k, args.m)
+    _check_term_budget(spec.max_index)
     oracle = closed = None
     if args.method in ("oracle", "both"):
         oracle = shoelace_area(build_vertices(spec))
@@ -341,6 +351,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
         table = polygonal_table(args.m, args.rank)
         _emit(render_polygonal_table(table, args.format), args.out)
     else:
+        # The triangle at k = k_max reaches index n + 5*k_max.
+        _check_term_budget(args.n + 5 * args.k_max)
         table = third_order_table(args.n, args.k_max, args.padovan_initial)
         _emit(render_third_order_table(table, args.format), args.out)
     return 0

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .sequences import SequenceFamily, family_term
+from .sequences import SequenceFamily, family_terms
 
 
 class Point(NamedTuple):
@@ -70,14 +70,30 @@ class PolygonSpec:
         return self.n + (2 * self.m - 1) * self.k
 
 
-def build_vertices(spec: PolygonSpec) -> Polygon:
-    """Materialize the vertex pattern of a PolygonSpec as a Polygon."""
-    points = []
-    for i in range(spec.m):
-        x = family_term(spec.family, spec.n + 2 * i * spec.k)
-        y = family_term(spec.family, spec.n + (2 * i + 1) * spec.k)
-        points.append(Point(x, y))
-    return Polygon(tuple(points))
+def build_vertices(
+    spec: PolygonSpec, seq: Sequence[int] | None = None, first: int = 0
+) -> Polygon:
+    """Materialize the vertex pattern of a PolygonSpec as a Polygon.
+
+    ``seq[i]`` is the family's term at index ``first + i``; a grid passes one
+    slice f(0) .. f(largest index) for all its cells.  Without ``seq``, the
+    one window f(n) .. f(max_index) the polygon touches is fetched.
+    """
+    if seq is None:
+        first = spec.n
+        seq = family_terms(spec.family, first, spec.max_index - first + 1)
+    base, k = spec.n - first, spec.k
+    if base < 0 or len(seq) <= spec.max_index - first:
+        raise ValueError(
+            f"term slice from index {first} of length {len(seq)} does not "
+            f"cover indices {spec.n}..{spec.max_index}"
+        )
+    return Polygon(
+        tuple(
+            Point(seq[base + 2 * i * k], seq[base + (2 * i + 1) * k])
+            for i in range(spec.m)
+        )
+    )
 
 
 def shoelace_signed(poly: Polygon) -> Fraction:

@@ -1,15 +1,16 @@
 """Integer sequence engines: linear recurrences, figurate numbers, Binet forms.
 
-Every named family is generated two independent ways where possible: by
-forward iteration of its recurrence (:func:`term`) and by exact evaluation of
-its closed Binet form in a quadratic field (:func:`binet_eval`).  The two
+Every named family is generated two independent ways where possible: from
+its integer recurrence (:func:`terms`, which jumps to an index by
+companion-matrix powering and then iterates forward) and by exact evaluation
+of its closed Binet form in a quadratic field (:func:`binet_eval`).  The two
 routes are kept separate so each can serve as an oracle for the other.
 """
 
 from __future__ import annotations
 
 import enum
-import threading
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -206,32 +207,100 @@ def preset(family: SequenceFamily) -> RecurrenceSpec:
     )
 
 
-# Computed prefixes are shared across calls; the lock keeps concurrent
-# extension safe without changing the observable (pure) behaviour.
-_PREFIX_CACHE: dict[RecurrenceSpec, list[int]] = {}
-_PREFIX_LOCK = threading.Lock()
+# Grid guardrail: the largest sequence index n + (2m-1)k a verification grid
+# may touch.  It keeps term sizes in the low hundreds of digits and grid runs
+# in seconds, and every index up to it is read from one bounded table per
+# recurrence (see ``_small_table``).
+MAX_SEQUENCE_INDEX = 400
+
+# Index budget of `area`, `gen --count` and `table third-order`: the largest
+# sequence index they may touch.  A term there has up to about 38,000 digits
+# (Pell); past it the command exits 2.
+MAX_TERM_INDEX = 100_000
+
+
+def _extend(spec: RecurrenceSpec, window: list[int], count: int) -> list[int]:
+    """Append terms to ``window`` (at least ``order`` consecutive terms) by
+    forward iteration until it holds ``count``; return it."""
+    coefficients = spec.coefficients
+    while len(window) < count:
+        window.append(sum(c * window[-1 - i] for i, c in enumerate(coefficients)))
+    return window
+
+
+def _mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    columns = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in columns] for row in a]
+
+
+def _jump(spec: RecurrenceSpec, start: int) -> list[int]:
+    """The ``order`` consecutive terms f(start) .. f(start+order-1).
+
+    The state (f(n), .., f(n+order-1)) advances by the companion matrix C,
+    so the state at ``start`` is C**start applied to the initial terms.  The
+    power is built from the top bit down: square, and on a set bit multiply
+    by C, which only shifts the rows up and forms one new last row.  That is
+    O(log start) big-integer matrix products, for every order; a start below
+    the order needs no special case, since C**start merely shifts.
+    """
+    order = spec.order
+    last_row = spec.coefficients[::-1]  # f(n+order) in terms of f(n) .. f(n+order-1)
+    power = [[int(i == j) for j in range(order)] for i in range(order)]
+    for bit in bin(start)[2:]:
+        power = _mat_mul(power, power)
+        if bit == "1":
+            new_row = [
+                sum(c * power[j][col] for j, c in enumerate(last_row))
+                for col in range(order)
+            ]
+            power = power[1:] + [new_row]
+    initial = spec.initial_terms
+    return [sum(p * v for p, v in zip(row, initial)) for row in power]
+
+
+@functools.lru_cache(maxsize=64)
+def _small_table(spec: RecurrenceSpec) -> tuple[int, ...]:
+    """f(0) .. f(MAX_SEQUENCE_INDEX) of one recurrence.
+
+    A tuple, so every caller can share it.  The cache needs no lock of ours:
+    at worst two threads build the same table and one copy is kept.
+    """
+    return tuple(_extend(spec, list(spec.initial_terms), MAX_SEQUENCE_INDEX + 1))
+
+
+def terms(spec: RecurrenceSpec, start: int, count: int) -> list[int]:
+    """Exact f(start) .. f(start+count-1) of a recurrence.
+
+    Windows inside the small-index table are sliced from it.  Otherwise the
+    engine jumps to ``start`` by companion-matrix powering and iterates
+    forward, so memory holds only the window, never the prefix before it.
+    """
+    if start < 0:
+        raise ValueError(f"term index must be >= 0, got {start}")
+    if count < 0:
+        raise ValueError(f"term count must be >= 0, got {count}")
+    if start + count <= MAX_SEQUENCE_INDEX + 1:
+        return list(_small_table(spec)[start : start + count])
+    return _extend(spec, _jump(spec, start), count)[:count]
 
 
 def term(spec: RecurrenceSpec, n: int) -> int:
-    """Exact n-th term (n >= 0) by forward iteration with a cached prefix."""
+    """Exact n-th term (n >= 0): a table read up to MAX_SEQUENCE_INDEX, a
+    jump beyond it."""
     if n < 0:
         raise ValueError(f"term index must be >= 0, got {n}")
-    with _PREFIX_LOCK:
-        buf = _PREFIX_CACHE.setdefault(spec, list(spec.initial_terms))
-        while len(buf) <= n:
-            last = len(buf)
-            buf.append(
-                sum(c * buf[last - 1 - i] for i, c in enumerate(spec.coefficients))
-            )
-        return buf[n]
+    if n <= MAX_SEQUENCE_INDEX:
+        return _small_table(spec)[n]
+    return _jump(spec, n)[0]
 
 
 def iter_terms(spec: RecurrenceSpec) -> Iterator[int]:
-    """Infinite iterator over f(0), f(1), f(2), ..."""
-    n = 0
+    """Infinite iterator over f(0), f(1), f(2), ... by forward iteration."""
+    window = list(spec.initial_terms)
     while True:
-        yield term(spec, n)
-        n += 1
+        yield window[0]
+        _extend(spec, window, spec.order + 1)
+        del window[0]
 
 
 def polygonal_number(rank: int, n: int) -> int:
@@ -254,6 +323,14 @@ def family_term(family: SequenceFamily, n: int) -> int:
         assert family.rank is not None
         return polygonal_number(family.rank, n)
     return term(preset(family), n)
+
+
+def family_terms(family: SequenceFamily, start: int, count: int) -> list[int]:
+    """Terms start .. start+count-1 of any family, from one engine call."""
+    if family.kind is FamilyKind.POLYGONAL:
+        assert family.rank is not None
+        return [polygonal_number(family.rank, n) for n in range(start, start + count)]
+    return terms(preset(family), start, count)
 
 
 @dataclass(frozen=True)

@@ -16,11 +16,13 @@ from typing import Callable, Iterable, Sequence
 
 from .closedforms import closed_area_for, polygonal_mgon_area
 from .geometry import PolygonSpec, build_vertices, collinear, shoelace_area
-from .sequences import FamilyKind, SequenceFamily, UnsupportedFamilyError
-
-# Grid guardrail: the largest sequence index n + (2m-1)k a grid may touch.
-# Keeps term sizes in the low hundreds of digits and runtimes in seconds.
-MAX_SEQUENCE_INDEX = 400
+from .sequences import (
+    MAX_SEQUENCE_INDEX,
+    FamilyKind,
+    SequenceFamily,
+    UnsupportedFamilyError,
+    family_terms,
+)
 
 COLLINEAR_KINDS = frozenset({FamilyKind.JACOBSTHAL, FamilyKind.JACOBSTHAL_LUCAS})
 
@@ -58,13 +60,15 @@ def _as_range(values: Iterable[int], name: str) -> list[int]:
     return out
 
 
-def _check_guardrail(ns: Sequence[int], ks: Sequence[int], ms: Sequence[int]) -> None:
+def _check_guardrail(ns: Sequence[int], ks: Sequence[int], ms: Sequence[int]) -> int:
+    """The largest index the grid touches, if within the guardrail."""
     worst = max(ns) + (2 * max(ms) - 1) * max(ks)
     if worst > MAX_SEQUENCE_INDEX:
         raise ValueError(
             f"grid reaches sequence index {worst}, beyond the "
             f"{MAX_SEQUENCE_INDEX} guardrail"
         )
+    return worst
 
 
 def _sweep(
@@ -72,20 +76,22 @@ def _sweep(
     n_range: Iterable[int],
     k_range: Iterable[int],
     m_range: Iterable[int],
-    judge: Callable[[PolygonSpec], VerificationCell],
+    judge: Callable[[PolygonSpec, list[int]], VerificationCell],
 ) -> VerificationReport:
     """Judge every (n, k, m) cell in fixed order: n outer, k middle, m inner.
 
-    Cells with no closed area count toward neither total.
+    The judge gets the cell and one term slice f(0) .. f(largest index)
+    shared by the whole grid.  Cells with no closed area count toward
+    neither total.
     """
     ns = _as_range(n_range, "n")
     ks = _as_range(k_range, "k")
     ms = _as_range(m_range, "m")
-    _check_guardrail(ns, ks, ms)
+    worst = _check_guardrail(ns, ks, ms)
     started = time.perf_counter()
-    cells = tuple(
-        judge(PolygonSpec(family, n, k, m)) for n in ns for k in ks for m in ms
-    )
+    specs = [PolygonSpec(family, n, k, m) for n in ns for k in ks for m in ms]
+    seq = family_terms(family, 0, worst + 1)
+    cells = tuple(judge(spec, seq) for spec in specs)
     checked = [c.match for c in cells if c.closed_area is not None]
     return VerificationReport(
         grid=(
@@ -115,9 +121,15 @@ def verify_family(
             f"{family.label} has no closed form to verify against"
         )
 
-    def judge(spec: PolygonSpec) -> VerificationCell:
-        oracle = shoelace_area(build_vertices(spec))
-        closed = closed_area_for(family, spec.k, spec.m)
+    # The closed area does not depend on n: one evaluation per (k, m).
+    closed_areas: dict[tuple[int, int], Fraction] = {}
+
+    def judge(spec: PolygonSpec, seq: list[int]) -> VerificationCell:
+        oracle = shoelace_area(build_vertices(spec, seq))
+        key = (spec.k, spec.m)
+        closed = closed_areas.get(key)
+        if closed is None:
+            closed = closed_areas[key] = closed_area_for(family, spec.k, spec.m)
         return VerificationCell(spec, oracle, closed, oracle == closed)
 
     return _sweep(family, n_range, k_range, m_range, judge)
@@ -141,8 +153,8 @@ def verify_collinearity(
         )
     zero = Fraction(0)
 
-    def judge(spec: PolygonSpec) -> VerificationCell:
-        poly = build_vertices(spec)
+    def judge(spec: PolygonSpec, seq: list[int]) -> VerificationCell:
+        poly = build_vertices(spec, seq)
         is_line = collinear(poly.vertices)
         oracle = shoelace_area(poly)
         return VerificationCell(
@@ -318,11 +330,16 @@ def third_order_table(
         "perrin": SequenceFamily.perrin(),
         "padovan": SequenceFamily.padovan(tuple(padovan_initial)),
     }
+    # One slice per family, f(n) .. f(n + 5*k_max): every triangle's window.
+    slices = {
+        column: family_terms(family, n, 5 * k_max + 1)
+        for column, family in families.items()
+    }
     cells = []
     for k in range(1, k_max + 1):
         for column in THIRD_ORDER_COLUMNS:
             spec = PolygonSpec(families[column], n, k, 3)
-            computed = shoelace_area(build_vertices(spec))
+            computed = shoelace_area(build_vertices(spec, slices[column], first=n))
             published = PUBLISHED_THIRD_ORDER[column].get(k) if n == 1 else None
             if column == "padovan":
                 status = STATUS_UNVERIFIED

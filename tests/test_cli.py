@@ -14,6 +14,7 @@ from seqarea import (
     rational_str,
     shoelace_area,
 )
+from seqarea.sequences import MAX_TERM_INDEX
 
 EXPECTED_POLYGONAL_MARKDOWN = """\
 Coefficient of k^4 in the m-gon area on polygonal-number vertices
@@ -253,6 +254,58 @@ class TestTable:
     def test_bad_k_max_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "table", "third-order", "--k-max", "0")
         assert code == 2
+
+
+class TestTermBudget:
+    """`area`, `gen --count` and `table third-order` stop at MAX_TERM_INDEX."""
+
+    def assert_refused(self, capsys, *argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(MAX_TERM_INDEX) in err
+
+    def test_area_at_and_past_the_budget(self, capsys):
+        n = MAX_TERM_INDEX - 5  # the triangle's last vertex index is n + 5k
+        code, out, _ = run(
+            capsys, "area", "fibonacci", "--n", str(n), "--k", "1", "--m", "3",
+            "--method", "both",
+        )
+        assert code == 0
+        assert out == "oracle: 1/2\nclosed: 1/2\nMATCH\n"
+        self.assert_refused(
+            capsys, "area", "fibonacci", "--n", str(n + 1), "--k", "1", "--m", "3"
+        )
+
+    def test_gen_at_and_past_the_budget(self, capsys):
+        count = MAX_TERM_INDEX + 1  # indices 0 .. MAX_TERM_INDEX
+        code, out, _ = run(
+            capsys, "gen", "polygonal", "--rank", "3", "--count", str(count)
+        )
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == count
+        assert lines[-1] == str(MAX_TERM_INDEX * (MAX_TERM_INDEX + 1) // 2)
+        self.assert_refused(
+            capsys, "gen", "polygonal", "--rank", "3", "--count", str(count + 1)
+        )
+
+    def test_third_order_table_at_and_past_the_budget(self, capsys):
+        n = MAX_TERM_INDEX - 5  # k_max = 1 reaches n + 5
+        code, out, _ = run(
+            capsys, "table", "third-order", "--n", str(n), "--k-max", "1",
+            "--format", "json",
+        )
+        assert code == 0
+        assert [c["k"] for c in json.loads(out)["cells"]] == [1, 1, 1]
+        self.assert_refused(
+            capsys, "table", "third-order", "--n", str(n + 1), "--k-max", "1"
+        )
+        self.assert_refused(
+            capsys, "table", "third-order", "--n", "0",
+            "--k-max", str(MAX_TERM_INDEX // 5 + 1),
+        )
 
 
 class TestArgumentHandling:
