@@ -30,6 +30,7 @@ from .sequences import MAX_TERM_INDEX, FamilyKind, SequenceFamily, family_terms
 from .verify import (
     COLLINEAR_KINDS,
     PolygonalTable,
+    ThirdOrderCell,
     ThirdOrderTable,
     VerificationReport,
     polygonal_table,
@@ -143,8 +144,10 @@ def _markdown_table(header: list[str], rows: list[list[str]]) -> str:
 def render_gen(values: list[int], fmt: str) -> str:
     if fmt == "markdown":
         return "".join(f"{v}\n" for v in values)
+    if fmt == "json":
+        return _emit_records([str(v) for v in values], fmt)
     records = [{"n": i, "value": v} for i, v in enumerate(values)]
-    return _emit_records([str(v) for v in values], fmt, records, ["n", "value"])
+    return _emit_records(None, fmt, records, ["n", "value"])
 
 
 def render_area(
@@ -229,9 +232,11 @@ def render_polygonal_table(table: PolygonalTable, fmt: str) -> str:
         }
         return _emit_records(payload, fmt)
     header = ["m"] + [rank_name(r) for r in table.ranks]
-    rows = []
-    for m in table.m_values:
-        rows.append([str(m)] + [str(table.cell(m, r).coefficient) for r in table.ranks])
+    cells = iter(table.cells)  # stored m-major: one run of len(ranks) per m
+    rows = [
+        [str(m)] + [str(next(cells).coefficient) for _ in table.ranks]
+        for m in table.m_values
+    ]
     checked = [c for c in table.cells if c.match is not None]
     lines = [
         "Coefficient of k^4 in the m-gon area on polygonal-number vertices",
@@ -269,8 +274,7 @@ def render_third_order_table(table: ThirdOrderTable, fmt: str) -> str:
         }
         return _emit_records(payload, fmt)
 
-    def cell_text(column: str, k: int) -> str:
-        c = table.cell(column, k)
+    def cell_text(c: ThirdOrderCell) -> str:
         text = rational_str(c.computed)
         if c.status and c.published is not None and c.computed != c.published:
             return f"{text} [{c.status}; published {rational_str(c.published)}]"
@@ -279,10 +283,9 @@ def render_third_order_table(table: ThirdOrderTable, fmt: str) -> str:
         return text
 
     initial = ",".join(str(v) for v in table.padovan_initial)
-    rows = [
-        [str(k)] + [cell_text(col, k) for col in ("tribonacci", "perrin", "padovan")]
-        for k in range(1, table.k_max + 1)
-    ]
+    # The cells are stored k-major, one run of three columns per k.
+    texts = [cell_text(c) for c in table.cells]
+    rows = [[str(k)] + texts[3 * k - 3 : 3 * k] for k in range(1, table.k_max + 1)]
     title = (
         f"Triangle areas on third-order sequence vertices, "
         f"n={table.n}, k=1..{table.k_max} (padovan initial {initial})"
@@ -346,15 +349,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.fail_count == 0 else 1
 
 
-def _cmd_table(args: argparse.Namespace) -> int:
-    if args.which == "polygonal":
-        table = polygonal_table(args.m, args.rank)
-        _emit(render_polygonal_table(table, args.format), args.out)
-    else:
-        # The triangle at k = k_max reaches index n + 5*k_max.
-        _check_term_budget(args.n + 5 * args.k_max)
-        table = third_order_table(args.n, args.k_max, args.padovan_initial)
-        _emit(render_third_order_table(table, args.format), args.out)
+def _cmd_polygonal_table(args: argparse.Namespace) -> int:
+    table = polygonal_table(args.m, args.rank)
+    _emit(render_polygonal_table(table, args.format), args.out)
+    return 0
+
+
+def _cmd_third_order_table(args: argparse.Namespace) -> int:
+    # The triangle at k = k_max reaches index n + 5*k_max.
+    _check_term_budget(args.n + 5 * args.k_max)
+    table = third_order_table(args.n, args.k_max, args.padovan_initial)
+    _emit(render_third_order_table(table, args.format), args.out)
     return 0
 
 
@@ -374,7 +379,8 @@ def _common_options() -> argparse.ArgumentParser:
     return common
 
 
-def _add_family_options(parser: argparse.ArgumentParser) -> None:
+def _family_options() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(add_help=False)
     parser.add_argument("family", choices=FAMILY_NAMES)
     parser.add_argument("--s", type=int, help="first parameter of 'generalized'")
     parser.add_argument("--t", type=int, help="second parameter of 'generalized'")
@@ -385,6 +391,7 @@ def _add_family_options(parser: argparse.ArgumentParser) -> None:
         metavar="A,B,C",
         help="start values for 'padovan' (default 1,1,1)",
     )
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -393,17 +400,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact areas of polygons with integer-sequence vertices.",
     )
     common = _common_options()
+    family = _family_options()
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_gen = sub.add_parser("gen", parents=[common], help="print sequence terms")
-    _add_family_options(p_gen)
+    p_gen = sub.add_parser("gen", parents=[common, family], help="print sequence terms")
     p_gen.add_argument("--count", type=int, required=True, help="number of terms")
     p_gen.set_defaults(handler=_cmd_gen)
 
     p_area = sub.add_parser(
-        "area", parents=[common], help="area of one sequence polygon"
+        "area", parents=[common, family], help="area of one sequence polygon"
     )
-    _add_family_options(p_area)
     p_area.add_argument("--n", type=int, required=True, help="start index (>= 0)")
     p_area.add_argument("--k", type=int, required=True, help="stride (>= 1)")
     p_area.add_argument("--m", type=int, required=True, help="vertex count (>= 3)")
@@ -416,9 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_area.set_defaults(handler=_cmd_area)
 
     p_verify = sub.add_parser(
-        "verify", parents=[common], help="cross-check a parameter grid"
+        "verify", parents=[common, family], help="cross-check a parameter grid"
     )
-    _add_family_options(p_verify)
     p_verify.add_argument(
         "--n", type=parse_range, required=True, metavar="A..B", help="start indices"
     )
@@ -430,32 +435,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.set_defaults(handler=_cmd_verify)
 
-    p_table = sub.add_parser(
-        "table", parents=[common], help="emit a reference table"
+    p_table = sub.add_parser("table", help="emit a reference table")
+    tables = p_table.add_subparsers(dest="table", required=True)
+
+    p_poly = tables.add_parser(
+        "polygonal", parents=[common], help="k^4 coefficients of figurate m-gons"
     )
-    p_table.add_argument("which", choices=["polygonal", "third-order"])
-    p_table.add_argument(
+    p_poly.add_argument(
         "--m", type=parse_range, default=range(3, 8), metavar="A..B",
-        help="m values for the polygonal table (default 3..7)",
+        help="m values (default 3..7)",
     )
-    p_table.add_argument(
+    p_poly.add_argument(
         "--rank", type=parse_range, default=range(3, 8), metavar="A..B",
-        help="ranks for the polygonal table (default 3..7)",
+        help="ranks (default 3..7)",
     )
-    p_table.add_argument(
-        "--k-max", type=int, default=6, help="third-order table: largest k"
+    p_poly.set_defaults(handler=_cmd_polygonal_table)
+
+    p_third = tables.add_parser(
+        "third-order", parents=[common], help="triangle areas of third-order families"
     )
-    p_table.add_argument(
-        "--n", type=int, default=1, help="third-order table: start index"
-    )
-    p_table.add_argument(
+    p_third.add_argument("--k-max", type=int, default=6, help="largest k (default 6)")
+    p_third.add_argument("--n", type=int, default=1, help="start index (default 1)")
+    p_third.add_argument(
         "--padovan-initial",
         type=parse_triple,
         default=(1, 1, 1),
         metavar="A,B,C",
-        help="third-order table: padovan start values",
+        help="padovan start values (default 1,1,1)",
     )
-    p_table.set_defaults(handler=_cmd_table)
+    p_third.set_defaults(handler=_cmd_third_order_table)
     return parser
 
 

@@ -14,25 +14,68 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .numerics import QuadElem
 from .sequences import (
     BinetParams,
     FamilyKind,
+    RecurrenceSpec,
     SequenceFamily,
     UnsupportedFamilyError,
     preset,
     term,
 )
 
-_FIB = preset(SequenceFamily.fibonacci())
-_LUC = preset(SequenceFamily.lucas())
-_PELL = preset(SequenceFamily.pell())
-_PELL_LUC = preset(SequenceFamily.pell_lucas())
+
+class _Base(NamedTuple):
+    """Fibonacci (with Lucas) or Pell (with Pell-Lucas): the terms a Binet
+    family's closed forms read, and the base triangle per parity of k."""
+
+    seq: RecurrenceSpec
+    companion: RecurrenceSpec
+    even_factor: Fraction  # even k: even_factor * S(k)^4 * C(k)
+    even_label: str
+    odd_label: str  # odd k: S(k)^2 * C(k)^3 / 2
 
 
-def _parity(k: int) -> str:
-    return "even" if k % 2 == 0 else "odd"
+_FIBONACCI = _Base(
+    preset(SequenceFamily.fibonacci()),
+    preset(SequenceFamily.lucas()),
+    Fraction(5, 2),
+    "5*F(k)^4*L(k)/2",
+    "F(k)^2*L(k)^3/2",
+)
+_PELL = _Base(
+    preset(SequenceFamily.pell()),
+    preset(SequenceFamily.pell_lucas()),
+    Fraction(4),
+    "4*P(k)^4*Q(k)",
+    "P(k)^2*Q(k)^3/2",
+)
+
+# Kind -> (base, scale): every area on the family's vertices is the base
+# sequence's area times the scale.  None marks the generalized Fibonacci
+# scale |s^2+st-t^2|, which depends on the family's s and t.
+_SCALES: dict[FamilyKind, tuple[_Base, int | None]] = {
+    FamilyKind.FIBONACCI: (_FIBONACCI, 1),
+    FamilyKind.LUCAS: (_FIBONACCI, 5),
+    FamilyKind.GENERALIZED_FIBONACCI: (_FIBONACCI, None),
+    FamilyKind.PELL: (_PELL, 1),
+    FamilyKind.PELL_LUCAS: (_PELL, 8),
+}
+
+
+def _base_and_scale(family: SequenceFamily) -> tuple[_Base, int]:
+    entry = _SCALES.get(family.kind)
+    if entry is None:
+        raise UnsupportedFamilyError(f"no closed form for {family.label}")
+    base, scale = entry
+    if scale is None:
+        assert family.s is not None and family.t is not None
+        s, t = family.s, family.t
+        scale = abs(s * s + s * t - t * t)
+    return base, scale
 
 
 def _check_k(k: int) -> None:
@@ -50,12 +93,6 @@ def _check_rank(rank: int) -> None:
         raise ValueError(f"polygonal rank must be >= 3, got {rank}")
 
 
-def _gen_prefactor(family: SequenceFamily) -> int:
-    assert family.s is not None and family.t is not None
-    s, t = family.s, family.t
-    return abs(s * s + s * t - t * t)
-
-
 @dataclass(frozen=True)
 class ClosedFormResult:
     """A closed-form triangle area plus which parity branch produced it."""
@@ -68,42 +105,20 @@ class ClosedFormResult:
 def closed_triangle_area(family: SequenceFamily, k: int) -> ClosedFormResult:
     """Triangle area for stride k from the family's closed formula.
 
-    The value is independent of the start index n.  Supported families:
-    fibonacci, lucas, generalized, pell, pell-lucas.
+    The value is independent of the start index n: the family's scale
+    times the Fibonacci or Pell triangle.  Supported families: fibonacci,
+    lucas, generalized, pell, pell-lucas.
     """
     _check_k(k)
-    kind = family.kind
-    parity = _parity(k)
-    if kind in (
-        FamilyKind.FIBONACCI,
-        FamilyKind.LUCAS,
-        FamilyKind.GENERALIZED_FIBONACCI,
-    ):
-        f, lu = term(_FIB, k), term(_LUC, k)
-        if kind is FamilyKind.FIBONACCI:
-            scale, tag = 1, ""
-        elif kind is FamilyKind.LUCAS:
-            scale, tag = 5, "5*"
-        else:
-            scale = _gen_prefactor(family)
-            tag = f"|s^2+st-t^2|({scale})*"
-        if parity == "even":
-            return ClosedFormResult(
-                Fraction(5 * scale * f**4 * lu, 2), parity, f"{tag}5*F(k)^4*L(k)/2"
-            )
-        return ClosedFormResult(
-            Fraction(scale * f**2 * lu**3, 2), parity, f"{tag}F(k)^2*L(k)^3/2"
-        )
-    if kind in (FamilyKind.PELL, FamilyKind.PELL_LUCAS):
-        p, q = term(_PELL, k), term(_PELL_LUC, k)
-        if kind is FamilyKind.PELL:
-            if parity == "even":
-                return ClosedFormResult(Fraction(4 * p**4 * q), parity, "4*P(k)^4*Q(k)")
-            return ClosedFormResult(Fraction(p**2 * q**3, 2), parity, "P(k)^2*Q(k)^3/2")
-        if parity == "even":
-            return ClosedFormResult(Fraction(32 * p**4 * q), parity, "32*P(k)^4*Q(k)")
-        return ClosedFormResult(Fraction(4 * p**2 * q**3), parity, "4*P(k)^2*Q(k)^3")
-    raise UnsupportedFamilyError(f"no closed triangle formula for {family.label}")
+    base, scale = _base_and_scale(family)
+    parity = "even" if k % 2 == 0 else "odd"
+    s, c = term(base.seq, k), term(base.companion, k)
+    if parity == "even":
+        area, label = base.even_factor * s**4 * c, base.even_label
+    else:
+        area, label = Fraction(s**2 * c**3, 2), base.odd_label
+    tag = "" if scale == 1 else f"{scale}*"
+    return ClosedFormResult(scale * area, parity, tag + label)
 
 
 def general_triangle_area(params: BinetParams, n: int, k: int) -> QuadElem:
@@ -149,32 +164,16 @@ def mgon_area(family: SequenceFamily, k: int, m: int) -> Fraction:
 
     All five supported families share the core
     ``|(m-1)*S(k)*S(2k) - S(k)*S((2m-2)k)|`` with S the Fibonacci or Pell
-    sequence; only the rational prefactor differs.
+    sequence, halved and times the family's scale.
     """
     _check_k(k)
     _check_m(m)
-    kind = family.kind
-    if kind in (
-        FamilyKind.FIBONACCI,
-        FamilyKind.LUCAS,
-        FamilyKind.GENERALIZED_FIBONACCI,
-    ):
-        base_spec = _FIB
-    elif kind in (FamilyKind.PELL, FamilyKind.PELL_LUCAS):
-        base_spec = _PELL
-    else:
-        raise UnsupportedFamilyError(f"no closed m-gon formula for {family.label}")
-    s_k = term(base_spec, k)
-    s_2k = term(base_spec, 2 * k)
-    s_span = term(base_spec, (2 * m - 2) * k)
+    base, scale = _base_and_scale(family)
+    s_k = term(base.seq, k)
+    s_2k = term(base.seq, 2 * k)
+    s_span = term(base.seq, (2 * m - 2) * k)
     core = abs((m - 1) * s_k * s_2k - s_k * s_span)
-    if kind is FamilyKind.FIBONACCI or kind is FamilyKind.PELL:
-        return Fraction(core, 2)
-    if kind is FamilyKind.LUCAS:
-        return Fraction(5 * core, 2)
-    if kind is FamilyKind.PELL_LUCAS:
-        return Fraction(4 * core)
-    return Fraction(_gen_prefactor(family) * core, 2)
+    return Fraction(scale * core, 2)
 
 
 def polygonal_triangle_area(rank: int, k: int) -> Fraction:
@@ -207,6 +206,4 @@ def closed_area_for(family: SequenceFamily, k: int, m: int) -> Fraction:
     if family.kind is FamilyKind.POLYGONAL:
         assert family.rank is not None
         return polygonal_mgon_area(family.rank, k, m)
-    if family.is_binet:
-        return mgon_area(family, k, m)
-    raise UnsupportedFamilyError(f"no closed form for {family.label}")
+    return mgon_area(family, k, m)

@@ -285,13 +285,8 @@ def terms(spec: RecurrenceSpec, start: int, count: int) -> list[int]:
 
 
 def term(spec: RecurrenceSpec, n: int) -> int:
-    """Exact n-th term (n >= 0): a table read up to MAX_SEQUENCE_INDEX, a
-    jump beyond it."""
-    if n < 0:
-        raise ValueError(f"term index must be >= 0, got {n}")
-    if n <= MAX_SEQUENCE_INDEX:
-        return _small_table(spec)[n]
-    return _jump(spec, n)[0]
+    """Exact n-th term (n >= 0), from the same engine as :func:`terms`."""
+    return terms(spec, n, 1)[0]
 
 
 def iter_terms(spec: RecurrenceSpec) -> Iterator[int]:
@@ -318,11 +313,8 @@ def polygonal_number(rank: int, n: int) -> int:
 
 
 def family_term(family: SequenceFamily, n: int) -> int:
-    """n-th term of any family: closed form for polygonal, recurrence otherwise."""
-    if family.kind is FamilyKind.POLYGONAL:
-        assert family.rank is not None
-        return polygonal_number(family.rank, n)
-    return term(preset(family), n)
+    """n-th term of any family, from the same engine as :func:`family_terms`."""
+    return family_terms(family, n, 1)[0]
 
 
 def family_terms(family: SequenceFamily, start: int, count: int) -> list[int]:

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import pytest
+
 from seqarea import (
     PolygonSpec,
     SequenceFamily,
@@ -254,6 +256,22 @@ class TestTable:
     def test_bad_k_max_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "table", "third-order", "--k-max", "0")
         assert code == 2
+
+    @pytest.mark.parametrize("stray", [
+        ("--k-max", "9"), ("--n", "7"), ("--padovan-initial", "1,0,0"),
+    ])
+    def test_polygonal_rejects_third_order_options(self, capsys, stray):
+        code, out, err = run(capsys, "table", "polygonal", *stray)
+        assert code == 2
+        assert out == ""
+        assert f"unrecognized arguments: {stray[0]}" in err
+
+    @pytest.mark.parametrize("stray", [("--rank", "3..9"), ("--m", "4")])
+    def test_third_order_rejects_polygonal_options(self, capsys, stray):
+        code, out, err = run(capsys, "table", "third-order", *stray)
+        assert code == 2
+        assert out == ""
+        assert f"unrecognized arguments: {stray[0]}" in err
 
 
 class TestTermBudget:

@@ -1,13 +1,14 @@
 """Literal stdout of the CLI, pinned byte for byte.
 
-These cover the machine formats of every result type, the keys the area
-JSON omits per method, the empty CSV fields and the markdown line for a
-polygonal table with no published cells.
+These cover every format of every result type, the keys the area JSON
+omits per method, the empty CSV fields, the markdown line for a polygonal
+table with no published cells, a non-square pivot (a transposed table would
+not pass it) and each flag of the published tables.
 """
 
 import pytest
 
-from seqarea import cli
+from seqarea import cli, verify
 
 VERIFY_PELL_MARKDOWN = """\
 grid: family=pell n=0..1 k=1..2 m=3..4
@@ -247,12 +248,116 @@ m,rank,coefficient,published,match
 8,7,5600,,
 """
 
+GEN_MARKDOWN = """\
+2
+1
+3
+4
+"""
+
+GEN_JSON = """\
+[
+  "2",
+  "1",
+  "3",
+  "4"
+]
+"""
+
+GEN_CSV = """\
+n,value
+0,2
+1,1
+2,3
+3,4
+"""
+
+AREA_BOTH_MARKDOWN = """\
+oracle: 509696
+closed: 509696
+MATCH
+"""
+
+VERIFY_JACOBSTHAL_MARKDOWN = """\
+grid: family=jacobsthal n=0..1 k=1..2 m=3..3
+pass_count: 4
+fail_count: 0
+
+| n | k | m | oracle | closed | match | note |
+| --- | --- | --- | --- | --- | --- | --- |
+| 0 | 1 | 3 | 0 | 0 | MATCH | collinear |
+| 0 | 2 | 3 | 0 | 0 | MATCH | collinear |
+| 1 | 1 | 3 | 0 | 0 | MATCH | collinear |
+| 1 | 2 | 3 | 0 | 0 | MATCH | collinear |
+"""
+
+THIRD_ORDER_DEFAULT_MARKDOWN = """\
+Triangle areas on third-order sequence vertices, n=1, k=1..6 (padovan initial 1,1,1)
+
+| k | Tribonacci | Perrin | Padovan |
+| --- | --- | --- | --- |
+| 1 | 3 [MATCH] | 9/2 [MATCH] | 1/2 [UNVERIFIED-CONVENTION; published 0] |
+| 2 | 64 [MATCH] | 47/2 [MATCH] | 2 [UNVERIFIED-CONVENTION; published 1] |
+| 3 | 849 [MATCH] | 31/2 [MISMATCH; published 31/9] | 9 [UNVERIFIED-CONVENTION; published 15] |
+| 4 | 23360 [MATCH] | 149 [MATCH] | 29/2 [UNVERIFIED-CONVENTION; published 44] |
+| 5 | 509729 [MATCH] | 1629/2 [MATCH] | 51/2 [UNVERIFIED-CONVENTION; published 95] |
+| 6 | 10049160 [MATCH] | 4820 [MATCH] | 55/2 [UNVERIFIED-CONVENTION; published 810] |
+"""
+
+POLYGONAL_NON_SQUARE_MARKDOWN = """\
+Coefficient of k^4 in the m-gon area on polygonal-number vertices
+
+| m | Triangular | Square | Pentagonal | Hexagonal | Heptagonal |
+| --- | --- | --- | --- | --- | --- |
+| 3 | 4 | 16 | 36 | 64 | 100 |
+| 4 | 16 | 64 | 144 | 256 | 400 |
+
+published check: 10/10 cells match
+"""
+
+POLYGONAL_MISMATCH_MARKDOWN = """\
+Coefficient of k^4 in the m-gon area on polygonal-number vertices
+
+| m | Triangular | Square | Pentagonal | Hexagonal | Heptagonal |
+| --- | --- | --- | --- | --- | --- |
+| 3 | 4 | 16 | 36 | 64 | 100 |
+| 4 | 16 | 64 | 144 | 256 | 400 |
+
+MISMATCH at m=3 rank=4: computed 16, published 17
+MISMATCH at m=4 rank=7: computed 400, published 399
+published check: 8/10 cells match
+"""
+
 
 AREA = ("area", "generalized", "--s", "2", "--t", "5", "--n", "7", "--k", "3", "--m", "5")
 VERIFY = ("verify", "pell", "--n", "0..1", "--k", "1..2", "--m", "3..4")
 THIRD_ORDER = ("table", "third-order", "--k-max", "2", "--n", "0", "--padovan-initial", "1,0,0")
 
+GEN = ("gen", "lucas", "--count", "4")
+GEN_NONE = ("gen", "lucas", "--count", "0")
+POLYGONAL_NON_SQUARE = ("table", "polygonal", "--m", "3..4", "--rank", "3..7")
+
 CASES = [
+    pytest.param(GEN, GEN_MARKDOWN, id="gen-markdown"),
+    pytest.param(GEN + ("--format", "json"), GEN_JSON, id="gen-json"),
+    pytest.param(GEN + ("--format", "csv"), GEN_CSV, id="gen-csv"),
+    pytest.param(GEN_NONE, "", id="gen-none-markdown"),
+    pytest.param(GEN_NONE + ("--format", "json"), "[]\n", id="gen-none-json"),
+    pytest.param(GEN_NONE + ("--format", "csv"), "n,value\n", id="gen-none-csv"),
+    pytest.param(AREA + ("--method", "oracle"), "509696\n", id="area-oracle-markdown"),
+    pytest.param(AREA + ("--method", "closed"), "509696\n", id="area-closed-markdown"),
+    pytest.param(AREA + ("--method", "both"), AREA_BOTH_MARKDOWN, id="area-both-markdown"),
+    pytest.param(
+        ("verify", "jacobsthal", "--n", "0..1", "--k", "1..2", "--m", "3"),
+        VERIFY_JACOBSTHAL_MARKDOWN,
+        id="verify-collinear-markdown",
+    ),
+    pytest.param(
+        ("table", "third-order"), THIRD_ORDER_DEFAULT_MARKDOWN, id="third-order-markdown"
+    ),
+    pytest.param(
+        POLYGONAL_NON_SQUARE, POLYGONAL_NON_SQUARE_MARKDOWN, id="polygonal-non-square-markdown"
+    ),
     pytest.param(VERIFY, VERIFY_PELL_MARKDOWN, id="verify-markdown"),
     pytest.param(VERIFY + ("--format", "json"), VERIFY_PELL_JSON, id="verify-json"),
     pytest.param(VERIFY + ("--format", "csv"), VERIFY_PELL_CSV, id="verify-csv"),
@@ -289,3 +394,12 @@ CASES = [
 def test_stdout_bytes(capsys, argv, expected):
     assert cli.main(list(argv)) == 0
     assert capsys.readouterr().out == expected
+
+
+def test_polygonal_mismatch_lines(capsys, monkeypatch):
+    published = dict(verify.PUBLISHED_POLYGONAL_COEFFS)
+    published[(3, 4)] = 17
+    published[(4, 7)] = 399
+    monkeypatch.setattr(verify, "PUBLISHED_POLYGONAL_COEFFS", published)
+    assert cli.main(list(POLYGONAL_NON_SQUARE)) == 0
+    assert capsys.readouterr().out == POLYGONAL_MISMATCH_MARKDOWN
