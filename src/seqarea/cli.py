@@ -19,7 +19,6 @@ import csv
 import io
 import json
 import sys
-from dataclasses import asdict
 from fractions import Fraction
 from typing import Sequence
 
@@ -228,7 +227,16 @@ def render_polygonal_table(table: PolygonalTable, fmt: str) -> str:
         payload = {
             "m_values": list(table.m_values),
             "ranks": list(table.ranks),
-            "cells": [asdict(c) for c in table.cells],
+            "cells": [
+                {
+                    "m": c.m,
+                    "rank": c.rank,
+                    "coefficient": c.coefficient,
+                    "published": c.published,
+                    "match": c.match,
+                }
+                for c in table.cells
+            ],
         }
         return _emit_records(payload, fmt)
     header = ["m"] + [rank_name(r) for r in table.ranks]
@@ -265,9 +273,11 @@ def render_third_order_table(table: ThirdOrderTable, fmt: str) -> str:
             "padovan_initial": list(table.padovan_initial),
             "cells": [
                 {
-                    **asdict(c),
+                    "column": c.column,
+                    "k": c.k,
                     "computed": rational_str(c.computed),
                     "published": _optional_str(c.published),
+                    "status": c.status,
                 }
                 for c in table.cells
             ],

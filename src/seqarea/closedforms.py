@@ -151,9 +151,10 @@ def general_mgon_area(params: BinetParams, k: int, m: int) -> Fraction:
     rk = params.r**k
     rk_inv = rk.inv()
     first = rk - rk_inv if k % 2 == 0 else rk + rk_inv
-    middle = params.r ** (2 * k) - params.r ** (-2 * k)
-    span = (2 * m - 2) * k
-    last = params.r**span - params.r ** (-span)
+    r2k, r2k_inv = rk * rk, rk_inv * rk_inv
+    middle = r2k - r2k_inv
+    r_span = r2k ** (m - 1)  # r^((2m-2)k)
+    last = r_span - r_span.inv()
     inner = (m - 1) * first * middle - first * last
     value = (params.a * params.b * inner).to_rational()
     return abs(value) / 2

@@ -156,7 +156,8 @@ class SequenceFamily:
 
     @property
     def is_binet(self) -> bool:
-        """True if exact Binet parameters exist in a quadratic field."""
+        """True for the five families with family closed forms; their Binet
+        forms live in Q(sqrt(5)) or Q(sqrt(2))."""
         return self.kind in BINET_KINDS
 
     @property
@@ -341,40 +342,45 @@ class BinetParams:
             raise ValueError("r must be nonzero")
 
 
-def binet_params(family: SequenceFamily) -> BinetParams:
-    """Exact (a, b, r) for the second-order families that admit them.
+def _split_square(n: int) -> tuple[int, int]:
+    """(s, d) with n = s^2 * d and d squarefree, for n >= 1."""
+    s, d, i = 1, n, 2
+    while i * i <= d:
+        while d % (i * i) == 0:
+            d //= i * i
+            s *= i
+        i += 1
+    return s, d
 
-    Fibonacci-type families live in Q(sqrt(5)) with r the golden ratio;
-    Pell-type families live in Q(sqrt(2)) with r = 1 + sqrt(2).  Jacobsthal
-    and the third-order families have no such quadratic-field form.
+
+def binet_params(family: SequenceFamily) -> BinetParams:
+    """Exact (a, b, r) for a recurrence f(n) = c1*f(n-1) + f(n-2) with c1 != 0.
+
+    The roots of x^2 - c1*x - 1 are r = (c1 + s*sqrt(d))/2 and its conjugate
+    beta = -1/r, where c1^2 + 4 = s^2*d with d squarefree.  From the initial
+    terms W0, W1: a = (W1 - W0*beta)/(r - beta) and
+    b = -(W0*r - W1)/(r - beta).  Fibonacci-type families land in Q(sqrt(5))
+    with r the golden ratio, Pell-type families in Q(sqrt(2)) with
+    r = 1 + sqrt(2).  Jacobsthal (c2 = 2), the third-order families,
+    polygonal numbers and c1 = 0 (rational roots 1 and -1) have no such form.
     """
-    kind = family.kind
-    half = Fraction(1, 2)
-    if kind in (FamilyKind.FIBONACCI, FamilyKind.LUCAS, FamilyKind.GENERALIZED_FIBONACCI):
-        r = QuadElem(half, half, 5)
-        inv_sqrt5 = QuadElem(Fraction(0), Fraction(1, 5), 5)
-        if kind is FamilyKind.FIBONACCI:
-            return BinetParams(inv_sqrt5, inv_sqrt5, r)
-        if kind is FamilyKind.LUCAS:
-            one = QuadElem.from_rational(1, 5)
-            return BinetParams(one, -one, r)
-        assert family.s is not None and family.t is not None
-        s, t = family.s, family.t
-        a = (s + (t - s) * r.inv()) * inv_sqrt5
-        b = (s + (s - t) * r) * inv_sqrt5
-        return BinetParams(a, b, r)
-    if kind in (FamilyKind.PELL, FamilyKind.PELL_LUCAS):
-        r = QuadElem(Fraction(1), Fraction(1), 2)
-        if kind is FamilyKind.PELL:
-            inv_2sqrt2 = QuadElem(Fraction(0), Fraction(1, 4), 2)
-            return BinetParams(inv_2sqrt2, inv_2sqrt2, r)
-        one = QuadElem.from_rational(1, 2)
-        return BinetParams(one, -one, r)
-    raise UnsupportedFamilyError(f"no quadratic Binet form for {family.label}")
+    spec = None if family.kind is FamilyKind.POLYGONAL else preset(family)
+    if spec is None or spec.order != 2 or spec.coefficients[1] != 1:
+        raise UnsupportedFamilyError(f"no quadratic Binet form for {family.label}")
+    c1 = spec.coefficients[0]
+    s, d = _split_square(c1 * c1 + 4)
+    if d == 1:  # only c1 = 0
+        raise UnsupportedFamilyError(f"no quadratic Binet form for {family.label}")
+    w0, w1 = spec.initial_terms
+    r = QuadElem(c1, s, d) / 2
+    beta = r.conjugate()
+    gap = r - beta  # s*sqrt(d)
+    return BinetParams((w1 - w0 * beta) / gap, (w1 - w0 * r) / gap, r)
 
 
 def binet_eval(params: BinetParams, n: int) -> Fraction:
     """Evaluate a*r^n + b*(-1)^(n+1)/r^n exactly; the radical part must cancel."""
     sign = 1 if (n + 1) % 2 == 0 else -1
-    value = params.a * (params.r**n) + sign * params.b * (params.r ** (-n))
+    r_n = params.r**n
+    value = params.a * r_n + sign * params.b * r_n.inv()
     return value.to_rational()

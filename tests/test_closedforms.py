@@ -11,7 +11,15 @@ from seqarea.closedforms import (
     polygonal_triangle_area,
 )
 from seqarea.geometry import PolygonSpec, build_vertices, shoelace_area
-from seqarea.sequences import SequenceFamily, UnsupportedFamilyError, binet_params
+from seqarea.sequences import (
+    RecurrenceSpec,
+    SequenceFamily,
+    UnsupportedFamilyError,
+    binet_eval,
+    binet_params,
+    preset,
+    term,
+)
 
 FAMILIES = [
     SequenceFamily.fibonacci(),
@@ -157,6 +165,42 @@ class TestGeneralMgonArea:
     def test_lucas_quadrilateral(self):
         params = binet_params(SequenceFamily.lucas())
         assert general_mgon_area(params, 1, 4) == Fraction(25, 2)
+
+
+class TestGeneralFormsAtScale:
+    """The Q(sqrt d) route against the family forms and the engine, far past
+    the benchmark's sizes (k <= 22, m <= 10, n <= 400)."""
+
+    K_VALUES = (1, 2, 3, 17, 64, 99, 100, 199, 200)
+    M_VALUES = (3, 4, 7, 16, 29, 30)
+    N_VALUES = (0, 1, 2, 399, 400, 401, 999, 1000, 1999, 2000)
+    CUSTOM = SequenceFamily.custom(RecurrenceSpec(2, (3, 1), (0, 1), "3,1"))
+
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.label)
+    def test_mgon_and_triangle_match_family_forms(self, family):
+        params = binet_params(family)
+        for k in self.K_VALUES:
+            for m in self.M_VALUES:
+                assert general_mgon_area(params, k, m) == mgon_area(family, k, m), (k, m)
+            closed = closed_triangle_area(family, k).area
+            for n in (0, 1, 2000):
+                assert abs(general_triangle_area(params, n, k).to_rational()) == closed
+
+    @pytest.mark.parametrize("family", FAMILIES + [CUSTOM], ids=lambda f: f.label)
+    def test_binet_matches_engine(self, family):
+        params = binet_params(family)
+        spec = preset(family)
+        for n in self.N_VALUES:
+            assert binet_eval(params, n) == term(spec, n), n
+
+    def test_custom_spec_matches_oracle(self):
+        params = binet_params(self.CUSTOM)
+        for k, m in ((1, 3), (2, 4), (5, 7), (12, 10), (40, 16), (60, 30)):
+            area = general_mgon_area(params, k, m)
+            for n in (0, 7):
+                assert area == oracle_area(self.CUSTOM, n, k, m), (k, m, n)
+            triangle = abs(general_triangle_area(params, 3, k).to_rational())
+            assert triangle == oracle_area(self.CUSTOM, 3, k, 3)
 
 
 class TestPolygonalAreas:

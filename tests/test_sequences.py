@@ -169,6 +169,44 @@ class TestBinetParams:
             with pytest.raises(UnsupportedFamilyError):
                 binet_params(family)
 
+    def test_generalized_matches_hand_derived_form(self):
+        # a = (s + (t-s)/r)/sqrt(5) and b = (s + (s-t)*r)/sqrt(5), r the golden ratio
+        r = QuadElem(Fraction(1, 2), Fraction(1, 2), 5)
+        inv_sqrt5 = QuadElem(0, Fraction(1, 5), 5)
+        for s in range(-4, 5):
+            for t in range(-4, 5):
+                p = binet_params(SequenceFamily.generalized(s, t))
+                assert p.r == r
+                assert p.a == (s + (t - s) * r.inv()) * inv_sqrt5
+                assert p.b == (s + (s - t) * r) * inv_sqrt5
+
+    def test_custom_second_order_spec_gains_a_field_route(self):
+        spec = RecurrenceSpec(2, (3, 1), (0, 1), "3,1")
+        p = binet_params(SequenceFamily.custom(spec))
+        # x^2 - 3x - 1: r = (3 + sqrt(13))/2, a = b = 1/sqrt(13)
+        assert p.r == QuadElem(Fraction(3, 2), Fraction(1, 2), 13)
+        assert p.a == p.b == QuadElem(0, Fraction(1, 13), 13)
+
+    @pytest.mark.parametrize("c1", [c for c in range(-6, 7) if c != 0])
+    def test_custom_specs_match_recurrence(self, c1):
+        # c1^2 + 4 = 5, 8, 13, 20, 29, 40: fields sqrt 5, 2, 13, 5, 29, 10
+        for initial in ((0, 1), (2, c1), (-3, 7)):
+            spec = RecurrenceSpec(2, (c1, 1), initial, "c1")
+            p = binet_params(SequenceFamily.custom(spec))
+            for n in range(61):
+                assert binet_eval(p, n) == term(spec, n), (c1, initial, n)
+
+    def test_custom_specs_without_a_quadratic_form(self):
+        for coefficients, initial in (
+            ((0, 1), (1, 2)),  # roots 1 and -1 are rational
+            ((3, 2), (0, 1)),  # c2 != 1
+            ((3,), (1,)),
+            ((1, 1, 1), (0, 1, 1)),
+        ):
+            spec = RecurrenceSpec(len(coefficients), coefficients, initial, "x")
+            with pytest.raises(UnsupportedFamilyError):
+                binet_params(SequenceFamily.custom(spec))
+
     def test_mixed_radicand_rejected(self):
         with pytest.raises(ValueError):
             BinetParams(QuadElem(1, 0, 5), QuadElem(1, 0, 2), QuadElem(1, 1, 2))
