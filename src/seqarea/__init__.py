@@ -17,6 +17,7 @@ from .closedforms import (
     mgon_area,
     polygonal_mgon_area,
     polygonal_triangle_area,
+    twice_signed_area,
 )
 from .geometry import (
     Point,
@@ -109,6 +110,7 @@ __all__ = [
     "terms",
     "third_order_table",
     "triangle_area_det",
+    "twice_signed_area",
     "verify_collinearity",
     "verify_family",
 ]

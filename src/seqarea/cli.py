@@ -27,7 +27,6 @@ from .geometry import PolygonSpec, build_vertices, shoelace_area
 from .numerics import rational_str
 from .sequences import MAX_TERM_INDEX, FamilyKind, SequenceFamily, family_terms
 from .verify import (
-    COLLINEAR_KINDS,
     PolygonalTable,
     ThirdOrderCell,
     ThirdOrderTable,
@@ -35,7 +34,6 @@ from .verify import (
     polygonal_table,
     rank_name,
     third_order_table,
-    verify_collinearity,
     verify_family,
 )
 
@@ -192,7 +190,7 @@ def render_report(report: VerificationReport, fmt: str) -> str:
                     "k": c.spec.k,
                     "m": c.spec.m,
                     "oracle": rational_str(c.oracle_area),
-                    "closed": _optional_str(c.closed_area),
+                    "closed": rational_str(c.closed_area),
                     "match": c.match,
                     "note": c.note,
                 }
@@ -208,7 +206,7 @@ def render_report(report: VerificationReport, fmt: str) -> str:
             str(c.spec.k),
             str(c.spec.m),
             rational_str(c.oracle_area),
-            rational_str(c.closed_area) if c.closed_area is not None else "",
+            rational_str(c.closed_area),
             "MATCH" if c.match else "MISMATCH",
             c.note,
         ]
@@ -350,11 +348,7 @@ def _cmd_area(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    family = resolve_family(args)
-    if family.kind in COLLINEAR_KINDS:
-        report = verify_collinearity(family, args.n, args.k, args.m)
-    else:
-        report = verify_family(family, args.n, args.k, args.m)
+    report = verify_family(resolve_family(args), args.n, args.k, args.m)
     _emit(render_report(report, args.format), args.out)
     return 0 if report.fail_count == 0 else 1
 

@@ -1,20 +1,21 @@
 """Closed-form area expressions for polygons on sequence-term vertices.
 
-Two independent layers are provided on purpose.  The family-specific
-formulas (:func:`closed_triangle_area`, :func:`mgon_area`,
+Two independent layers are provided on purpose.  The integer forms
+(:func:`twice_signed_area` for every second-order recurrence, which
+:func:`mgon_area` and :func:`closed_triangle_area` read, and
 :func:`polygonal_triangle_area`, :func:`polygonal_mgon_area`) use only
 integer sequence terms; :func:`closed_area_for` picks the m-gon one for a
 family.  The general formulas
 (:func:`general_triangle_area`, :func:`general_mgon_area`) evaluate the
 underlying factored expressions in exact quadratic-field arithmetic and must
-agree with both the family formulas and the shoelace oracle.
+agree with both the integer forms and the shoelace oracle.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
 from .numerics import QuadElem
 from .sequences import (
@@ -26,56 +27,6 @@ from .sequences import (
     preset,
     term,
 )
-
-
-class _Base(NamedTuple):
-    """Fibonacci (with Lucas) or Pell (with Pell-Lucas): the terms a Binet
-    family's closed forms read, and the base triangle per parity of k."""
-
-    seq: RecurrenceSpec
-    companion: RecurrenceSpec
-    even_factor: Fraction  # even k: even_factor * S(k)^4 * C(k)
-    even_label: str
-    odd_label: str  # odd k: S(k)^2 * C(k)^3 / 2
-
-
-_FIBONACCI = _Base(
-    preset(SequenceFamily.fibonacci()),
-    preset(SequenceFamily.lucas()),
-    Fraction(5, 2),
-    "5*F(k)^4*L(k)/2",
-    "F(k)^2*L(k)^3/2",
-)
-_PELL = _Base(
-    preset(SequenceFamily.pell()),
-    preset(SequenceFamily.pell_lucas()),
-    Fraction(4),
-    "4*P(k)^4*Q(k)",
-    "P(k)^2*Q(k)^3/2",
-)
-
-# Kind -> (base, scale): every area on the family's vertices is the base
-# sequence's area times the scale.  None marks the generalized Fibonacci
-# scale |s^2+st-t^2|, which depends on the family's s and t.
-_SCALES: dict[FamilyKind, tuple[_Base, int | None]] = {
-    FamilyKind.FIBONACCI: (_FIBONACCI, 1),
-    FamilyKind.LUCAS: (_FIBONACCI, 5),
-    FamilyKind.GENERALIZED_FIBONACCI: (_FIBONACCI, None),
-    FamilyKind.PELL: (_PELL, 1),
-    FamilyKind.PELL_LUCAS: (_PELL, 8),
-}
-
-
-def _base_and_scale(family: SequenceFamily) -> tuple[_Base, int]:
-    entry = _SCALES.get(family.kind)
-    if entry is None:
-        raise UnsupportedFamilyError(f"no closed form for {family.label}")
-    base, scale = entry
-    if scale is None:
-        assert family.s is not None and family.t is not None
-        s, t = family.s, family.t
-        scale = abs(s * s + s * t - t * t)
-    return base, scale
 
 
 def _check_k(k: int) -> None:
@@ -93,32 +44,82 @@ def _check_rank(rank: int) -> None:
         raise ValueError(f"polygonal rank must be >= 3, got {rank}")
 
 
+# The Lucas sequences U of the fixed families' recurrences are presets
+# themselves (Fibonacci, Pell, Jacobsthal), so they share their term tables.
+_LUCAS_U = {
+    spec.coefficients: spec
+    for spec in map(
+        preset,
+        (SequenceFamily.fibonacci(), SequenceFamily.pell(), SequenceFamily.jacobsthal()),
+    )
+}
+
+
+@functools.lru_cache(maxsize=64)
+def _horadam(family: SequenceFamily) -> tuple[RecurrenceSpec, int, int]:
+    """(U, e, Q) of a family W(n) = P*W(n-1) - Q*W(n-2): the Lucas sequence
+    U(0) = 0, U(1) = 1 of (P, Q), and Horadam's characteristic
+    e = P*W0*W1 - W1^2 - Q*W0^2."""
+    spec = None if family.kind is FamilyKind.POLYGONAL else preset(family)
+    if spec is None or spec.order != 2:
+        raise UnsupportedFamilyError(f"no closed form for {family.label}")
+    (p, c2), (w0, w1) = spec.coefficients, spec.initial_terms
+    u = _LUCAS_U.get(spec.coefficients) or RecurrenceSpec(2, (p, c2), (0, 1), "U")
+    return u, p * w0 * w1 - w1 * w1 + c2 * w0 * w0, -c2
+
+
+def _twice_area_at_zero(family: SequenceFamily, k: int, m: int) -> tuple[int, int]:
+    """Twice the signed m-gon area at n = 0, and Q."""
+    _check_k(k)
+    _check_m(m)
+    u, e, q = _horadam(family)
+    q2k = q ** (2 * k)
+    series = m - 1 if q2k == 1 else (q2k ** (m - 1) - 1) // (q2k - 1)
+    bracket = term(u, 2 * k) * series - term(u, (2 * m - 2) * k)
+    return e * term(u, k) * bracket, q
+
+
+def twice_signed_area(family: SequenceFamily, n: int, k: int, m: int) -> int:
+    """Twice the signed area of the m-gon on a second-order family's terms.
+
+    With the vertices of :class:`~seqarea.geometry.PolygonSpec` (n, k, m)
+    and U, e, Q as in Horadam (Fibonacci Quart. 3 (1965) 161-176), it is
+    ``e * Q^n * U(k) * (U(2k) * sum(Q^(2ik), i = 0..m-2) - U((2m-2)k))``,
+    sign included.  Third-order and polygonal families raise
+    :class:`UnsupportedFamilyError`.
+    """
+    if n < 0:
+        raise ValueError(f"start index n must be >= 0, got {n}")
+    twice, q = _twice_area_at_zero(family, k, m)
+    return twice * q**n
+
+
+def mgon_area(family: SequenceFamily, k: int, m: int) -> Fraction:
+    """m-gon area of a second-order family, if it does not depend on n.
+
+    That holds for |Q| = 1 (the five Binet families: the sum is m-1 and
+    Q^n is +-1) and wherever :func:`twice_signed_area` is 0 at every n
+    (the Jacobsthal pair, whose bracket vanishes: collinear vertices).  Any
+    other area grows like |Q|^n and raises :class:`UnsupportedFamilyError`.
+    """
+    twice, q = _twice_area_at_zero(family, k, m)
+    if twice and abs(q) != 1:
+        raise UnsupportedFamilyError(
+            f"no closed form for {family.label}: its area depends on n"
+        )
+    return Fraction(abs(twice), 2)
+
+
 @dataclass(frozen=True)
 class ClosedFormResult:
-    """A closed-form triangle area plus which parity branch produced it."""
+    """A closed-form triangle area."""
 
     area: Fraction
-    parity_branch: str
-    formula_label: str
 
 
 def closed_triangle_area(family: SequenceFamily, k: int) -> ClosedFormResult:
-    """Triangle area for stride k from the family's closed formula.
-
-    The value is independent of the start index n: the family's scale
-    times the Fibonacci or Pell triangle.  Supported families: fibonacci,
-    lucas, generalized, pell, pell-lucas.
-    """
-    _check_k(k)
-    base, scale = _base_and_scale(family)
-    parity = "even" if k % 2 == 0 else "odd"
-    s, c = term(base.seq, k), term(base.companion, k)
-    if parity == "even":
-        area, label = base.even_factor * s**4 * c, base.even_label
-    else:
-        area, label = Fraction(s**2 * c**3, 2), base.odd_label
-    tag = "" if scale == 1 else f"{scale}*"
-    return ClosedFormResult(scale * area, parity, tag + label)
+    """Triangle area for stride k: :func:`mgon_area` at m = 3."""
+    return ClosedFormResult(mgon_area(family, k, 3))
 
 
 def general_triangle_area(params: BinetParams, n: int, k: int) -> QuadElem:
@@ -158,23 +159,6 @@ def general_mgon_area(params: BinetParams, k: int, m: int) -> Fraction:
     inner = (m - 1) * first * middle - first * last
     value = (params.a * params.b * inner).to_rational()
     return abs(value) / 2
-
-
-def mgon_area(family: SequenceFamily, k: int, m: int) -> Fraction:
-    """m-gon area from the family's closed formula over sequence terms.
-
-    All five supported families share the core
-    ``|(m-1)*S(k)*S(2k) - S(k)*S((2m-2)k)|`` with S the Fibonacci or Pell
-    sequence, halved and times the family's scale.
-    """
-    _check_k(k)
-    _check_m(m)
-    base, scale = _base_and_scale(family)
-    s_k = term(base.seq, k)
-    s_2k = term(base.seq, 2 * k)
-    s_span = term(base.seq, (2 * m - 2) * k)
-    core = abs((m - 1) * s_k * s_2k - s_k * s_span)
-    return Fraction(scale * core, 2)
 
 
 def polygonal_triangle_area(rank: int, k: int) -> Fraction:

@@ -64,17 +64,6 @@ class FamilyKind(enum.Enum):
 
 DEFAULT_PADOVAN_INITIAL = (1, 1, 1)
 
-BINET_KINDS = frozenset(
-    {
-        FamilyKind.FIBONACCI,
-        FamilyKind.LUCAS,
-        FamilyKind.GENERALIZED_FIBONACCI,
-        FamilyKind.PELL,
-        FamilyKind.PELL_LUCAS,
-    }
-)
-
-
 @dataclass(frozen=True)
 class SequenceFamily:
     """A named sequence family plus whatever parameters it needs.
@@ -155,12 +144,6 @@ class SequenceFamily:
         return cls(FamilyKind.CUSTOM, spec=spec)
 
     @property
-    def is_binet(self) -> bool:
-        """True for the five families with family closed forms; their Binet
-        forms live in Q(sqrt(5)) or Q(sqrt(2))."""
-        return self.kind in BINET_KINDS
-
-    @property
     def label(self) -> str:
         if self.kind is FamilyKind.GENERALIZED_FIBONACCI:
             return f"generalized(s={self.s},t={self.t})"
@@ -218,6 +201,10 @@ MAX_SEQUENCE_INDEX = 400
 # sequence index they may touch.  A term there has up to about 38,000 digits
 # (Pell); past it the command exits 2.
 MAX_TERM_INDEX = 100_000
+
+# Cell budget of `table polygonal`: 400 m values by 400 ranks.  Past it the
+# command exits 2 before it builds a cell.
+MAX_TABLE_CELLS = 160_000
 
 
 def _extend(spec: RecurrenceSpec, window: list[int], count: int) -> list[int]:

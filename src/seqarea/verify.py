@@ -12,19 +12,18 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .closedforms import closed_area_for, polygonal_mgon_area
 from .geometry import PolygonSpec, build_vertices, collinear, shoelace_area
 from .sequences import (
     MAX_SEQUENCE_INDEX,
+    MAX_TABLE_CELLS,
     FamilyKind,
     SequenceFamily,
     UnsupportedFamilyError,
     family_terms,
 )
-
-COLLINEAR_KINDS = frozenset({FamilyKind.JACOBSTHAL, FamilyKind.JACOBSTHAL_LUCAS})
 
 
 @dataclass(frozen=True)
@@ -33,7 +32,7 @@ class VerificationCell:
 
     spec: PolygonSpec
     oracle_area: Fraction
-    closed_area: Fraction | None
+    closed_area: Fraction
     match: bool
     note: str = ""
 
@@ -53,56 +52,27 @@ class VerificationReport:
     elapsed: float
 
 
-def _as_range(values: Iterable[int], name: str) -> list[int]:
-    out = list(values)
+def _as_range(values: Iterable[int], name: str) -> Sequence[int]:
+    # A range stays a range: its length and ends are read without a list.
+    out = values if isinstance(values, range) else list(values)
     if not out:
         raise ValueError(f"{name} range must be nonempty")
     return out
 
 
+def _largest(values: Sequence[int]) -> int:
+    return max(values[0], values[-1]) if isinstance(values, range) else max(values)
+
+
 def _check_guardrail(ns: Sequence[int], ks: Sequence[int], ms: Sequence[int]) -> int:
     """The largest index the grid touches, if within the guardrail."""
-    worst = max(ns) + (2 * max(ms) - 1) * max(ks)
+    worst = _largest(ns) + (2 * _largest(ms) - 1) * _largest(ks)
     if worst > MAX_SEQUENCE_INDEX:
         raise ValueError(
             f"grid reaches sequence index {worst}, beyond the "
             f"{MAX_SEQUENCE_INDEX} guardrail"
         )
     return worst
-
-
-def _sweep(
-    family: SequenceFamily,
-    n_range: Iterable[int],
-    k_range: Iterable[int],
-    m_range: Iterable[int],
-    judge: Callable[[PolygonSpec, list[int]], VerificationCell],
-) -> VerificationReport:
-    """Judge every (n, k, m) cell in fixed order: n outer, k middle, m inner.
-
-    The judge gets the cell and one term slice f(0) .. f(largest index)
-    shared by the whole grid.  Cells with no closed area count toward
-    neither total.
-    """
-    ns = _as_range(n_range, "n")
-    ks = _as_range(k_range, "k")
-    ms = _as_range(m_range, "m")
-    worst = _check_guardrail(ns, ks, ms)
-    started = time.perf_counter()
-    specs = [PolygonSpec(family, n, k, m) for n in ns for k in ks for m in ms]
-    seq = family_terms(family, 0, worst + 1)
-    cells = tuple(judge(spec, seq) for spec in specs)
-    checked = [c.match for c in cells if c.closed_area is not None]
-    return VerificationReport(
-        grid=(
-            f"family={family.label} n={ns[0]}..{ns[-1]} "
-            f"k={ks[0]}..{ks[-1]} m={ms[0]}..{ms[-1]}"
-        ),
-        cells=cells,
-        pass_count=checked.count(True),
-        fail_count=checked.count(False),
-        elapsed=time.perf_counter() - started,
-    )
 
 
 def verify_family(
@@ -113,26 +83,48 @@ def verify_family(
 ) -> VerificationReport:
     """Compare shoelace oracle and closed-form area over a full (n, k, m) grid.
 
-    Supports the five Binet families and polygonal families.  Cell order is
-    fixed: n outer, k middle, m inner.
+    Covers every family :func:`closed_area_for` answers.  A cell whose closed
+    area is 0 must also have collinear vertices, and its note says
+    ``collinear`` or ``NOT COLLINEAR``.  Cell order is fixed: n outer,
+    k middle, m inner; every cell reads one term slice f(0) .. f(largest
+    index) shared by the whole grid.
     """
-    if not (family.is_binet or family.kind is FamilyKind.POLYGONAL):
-        raise UnsupportedFamilyError(
-            f"{family.label} has no closed form to verify against"
-        )
-
+    closed_area_for(family, 1, 3)  # a family with no closed form fails first
+    ns = _as_range(n_range, "n")
+    ks = _as_range(k_range, "k")
+    ms = _as_range(m_range, "m")
+    worst = _check_guardrail(ns, ks, ms)
+    started = time.perf_counter()
+    seq = family_terms(family, 0, worst + 1)
     # The closed area does not depend on n: one evaluation per (k, m).
     closed_areas: dict[tuple[int, int], Fraction] = {}
 
-    def judge(spec: PolygonSpec, seq: list[int]) -> VerificationCell:
-        oracle = shoelace_area(build_vertices(spec, seq))
+    def judge(spec: PolygonSpec) -> VerificationCell:
+        poly = build_vertices(spec, seq)
+        oracle = shoelace_area(poly)
         key = (spec.k, spec.m)
         closed = closed_areas.get(key)
         if closed is None:
             closed = closed_areas[key] = closed_area_for(family, spec.k, spec.m)
-        return VerificationCell(spec, oracle, closed, oracle == closed)
+        if closed:
+            return VerificationCell(spec, oracle, closed, oracle == closed)
+        is_line = collinear(poly.vertices)
+        note = "collinear" if is_line else "NOT COLLINEAR"
+        return VerificationCell(spec, oracle, closed, is_line and oracle == 0, note)
 
-    return _sweep(family, n_range, k_range, m_range, judge)
+    specs = [PolygonSpec(family, n, k, m) for n in ns for k in ks for m in ms]
+    cells = tuple(judge(spec) for spec in specs)
+    passed = sum(c.match for c in cells)
+    return VerificationReport(
+        grid=(
+            f"family={family.label} n={ns[0]}..{ns[-1]} "
+            f"k={ks[0]}..{ks[-1]} m={ms[0]}..{ms[-1]}"
+        ),
+        cells=cells,
+        pass_count=passed,
+        fail_count=len(cells) - passed,
+        elapsed=time.perf_counter() - started,
+    )
 
 
 def verify_collinearity(
@@ -141,31 +133,14 @@ def verify_collinearity(
     k_range: Iterable[int],
     m_range: Iterable[int],
 ) -> VerificationReport:
-    """Check that every vertex pattern of a Jacobsthal-type family degenerates.
-
-    Each cell passes iff the points are collinear and the oracle area is
-    exactly zero (recorded as closed area 0).
-    """
-    if family.kind not in COLLINEAR_KINDS:
+    """:func:`verify_family` for the Jacobsthal pair, whose closed area is 0:
+    each cell passes iff its vertices are collinear and the oracle area is 0."""
+    if family.kind not in (FamilyKind.JACOBSTHAL, FamilyKind.JACOBSTHAL_LUCAS):
         raise UnsupportedFamilyError(
             f"collinearity verification applies to jacobsthal families, "
             f"not {family.label}"
         )
-    zero = Fraction(0)
-
-    def judge(spec: PolygonSpec, seq: list[int]) -> VerificationCell:
-        poly = build_vertices(spec, seq)
-        is_line = collinear(poly.vertices)
-        oracle = shoelace_area(poly)
-        return VerificationCell(
-            spec,
-            oracle,
-            zero,
-            is_line and oracle == zero,
-            note="collinear" if is_line else "NOT COLLINEAR",
-        )
-
-    return _sweep(family, n_range, k_range, m_range, judge)
+    return verify_family(family, n_range, k_range, m_range)
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +240,11 @@ def polygonal_table(
     """
     ms = _as_range(m_range, "m")
     ranks = _as_range(rank_range, "rank")
+    if len(ms) * len(ranks) > MAX_TABLE_CELLS:
+        raise ValueError(
+            f"table has {len(ms) * len(ranks)} cells, beyond the "
+            f"{MAX_TABLE_CELLS} table-cell budget"
+        )
     cells = []
     for m in ms:
         for rank in ranks:

@@ -16,7 +16,8 @@ from seqarea import (
     rational_str,
     shoelace_area,
 )
-from seqarea.sequences import MAX_TERM_INDEX
+from seqarea.sequences import MAX_TABLE_CELLS, MAX_TERM_INDEX
+from seqarea.verify import polygonal_table
 
 EXPECTED_POLYGONAL_MARKDOWN = """\
 Coefficient of k^4 in the m-gon area on polygonal-number vertices
@@ -324,6 +325,24 @@ class TestTermBudget:
             capsys, "table", "third-order", "--n", "0",
             "--k-max", str(MAX_TERM_INDEX // 5 + 1),
         )
+
+
+class TestTableBudget:
+    """`table polygonal` stops at MAX_TABLE_CELLS before it builds a cell."""
+
+    def test_at_the_budget(self):
+        table = polygonal_table(range(3, 4), range(3, 3 + MAX_TABLE_CELLS))
+        assert len(table.cells) == MAX_TABLE_CELLS
+
+    @pytest.mark.parametrize(
+        "m, rank", [("3", f"3..{2 + MAX_TABLE_CELLS + 1}"), ("3..10000", "3..10000")]
+    )
+    def test_past_the_budget(self, capsys, m, rank):
+        code, out, err = run(capsys, "table", "polygonal", "--m", m, "--rank", rank)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(MAX_TABLE_CELLS) in err
 
 
 class TestArgumentHandling:

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqarea.closedforms import (
     closed_triangle_area,
@@ -9,8 +11,9 @@ from seqarea.closedforms import (
     mgon_area,
     polygonal_mgon_area,
     polygonal_triangle_area,
+    twice_signed_area,
 )
-from seqarea.geometry import PolygonSpec, build_vertices, shoelace_area
+from seqarea.geometry import PolygonSpec, build_vertices, shoelace_area, shoelace_signed
 from seqarea.sequences import (
     RecurrenceSpec,
     SequenceFamily,
@@ -40,12 +43,10 @@ class TestClosedTriangleArea:
     def test_fibonacci_odd_stride(self):
         result = closed_triangle_area(SequenceFamily.fibonacci(), 1)
         assert result.area == Fraction(1, 2)
-        assert result.parity_branch == "odd"
 
     def test_fibonacci_even_stride(self):
         result = closed_triangle_area(SequenceFamily.fibonacci(), 2)
         assert result.area == Fraction(15, 2)
-        assert result.parity_branch == "even"
 
     def test_pell_odd_stride(self):
         assert closed_triangle_area(SequenceFamily.pell(), 1).area == 4
@@ -64,15 +65,10 @@ class TestClosedTriangleArea:
         result = closed_triangle_area(SequenceFamily.generalized(1, 2), 1)
         assert result.area == Fraction(1, 2)
 
-    def test_labels_present(self):
-        assert closed_triangle_area(SequenceFamily.fibonacci(), 2).formula_label
-        assert closed_triangle_area(SequenceFamily.pell(), 3).formula_label
-
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             closed_triangle_area(SequenceFamily.fibonacci(), 0)
-        with pytest.raises(UnsupportedFamilyError):
-            closed_triangle_area(SequenceFamily.jacobsthal(), 1)
+        assert closed_triangle_area(SequenceFamily.jacobsthal(), 1).area == 0
         with pytest.raises(UnsupportedFamilyError):
             closed_triangle_area(SequenceFamily.tribonacci(), 1)
 
@@ -83,6 +79,92 @@ class TestClosedTriangleArea:
                 assert closed_triangle_area(family, k).area == oracle_area(
                     family, n, k, 3
                 )
+
+
+def custom(p: int, q: int, w0: int, w1: int) -> SequenceFamily:
+    """W(n) = p*W(n-1) - q*W(n-2) from W0, W1."""
+    return SequenceFamily.custom(RecurrenceSpec(2, (p, -q), (w0, w1), "W"))
+
+
+class TestTwiceSignedArea:
+    """The one integer form against the oracle, sign included."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        p=st.integers(-6, 6),
+        q=st.integers(-6, 6),
+        w0=st.integers(-9, 9),
+        w1=st.integers(-9, 9),
+        n=st.integers(0, 12),
+        k=st.integers(1, 6),
+        m=st.integers(3, 8),
+    )
+    def test_matches_signed_shoelace(self, p, q, w0, w1, n, k, m):
+        family = custom(p, q, w0, w1)
+        poly = build_vertices(PolygonSpec(family, n, k, m))
+        assert twice_signed_area(family, n, k, m) == 2 * shoelace_signed(poly)
+
+    def test_jacobsthal_bracket_vanishes(self):
+        for family in (SequenceFamily.jacobsthal(), SequenceFamily.jacobsthal_lucas()):
+            for k in range(1, 13):
+                for m in range(3, 10):
+                    assert twice_signed_area(family, 5, k, m) == 0
+                    assert mgon_area(family, k, m) == 0
+
+    def test_area_growing_in_n_has_no_closed_form(self):
+        # (5, 6): W(n) = 3^n - 2^n; the doubled area is a multiple of 6^n.
+        family = custom(5, 6, 0, 1)
+        assert twice_signed_area(family, 0, 1, 3) != 0
+        assert twice_signed_area(family, 1, 1, 3) == 6 * twice_signed_area(family, 0, 1, 3)
+        with pytest.raises(UnsupportedFamilyError):
+            mgon_area(family, 1, 3)
+
+    def test_unit_q_custom_spec(self):
+        family = custom(3, -1, 0, 1)  # the (3, 1) recurrence of the field tests
+        for k in range(1, 6):
+            for m in range(3, 7):
+                assert mgon_area(family, k, m) == oracle_area(family, 4, k, m)
+
+    def test_domain_errors(self):
+        fib = SequenceFamily.fibonacci()
+        with pytest.raises(ValueError):
+            twice_signed_area(fib, -1, 1, 3)
+        for family in (SequenceFamily.polygonal(5), SequenceFamily.tribonacci(),
+                       SequenceFamily.custom(RecurrenceSpec(1, (2,), (1,)))):
+            with pytest.raises(UnsupportedFamilyError, match="no closed form"):
+                twice_signed_area(family, 0, 1, 3)
+
+
+class TestPaperForms:
+    """The paper's per-family forms, kept as data, against the integer form."""
+
+    FIB, LUC = preset(SequenceFamily.fibonacci()), preset(SequenceFamily.lucas())
+    PELL, PELL_LUCAS = preset(SequenceFamily.pell()), preset(SequenceFamily.pell_lucas())
+    # family -> (base S, companion C, even-k triangle, odd-k triangle, scale)
+    FORMS = [
+        (SequenceFamily.fibonacci(), FIB, LUC,
+         lambda s, c: Fraction(5 * s**4 * c, 2), lambda s, c: Fraction(s**2 * c**3, 2), 1),
+        (SequenceFamily.lucas(), FIB, LUC,
+         lambda s, c: Fraction(5 * s**4 * c, 2), lambda s, c: Fraction(s**2 * c**3, 2), 5),
+        (SequenceFamily.generalized(2, 5), FIB, LUC,
+         lambda s, c: Fraction(5 * s**4 * c, 2), lambda s, c: Fraction(s**2 * c**3, 2),
+         abs(2 * 2 + 2 * 5 - 5 * 5)),
+        (SequenceFamily.pell(), PELL, PELL_LUCAS,
+         lambda s, c: Fraction(4 * s**4 * c), lambda s, c: Fraction(s**2 * c**3, 2), 1),
+        (SequenceFamily.pell_lucas(), PELL, PELL_LUCAS,
+         lambda s, c: Fraction(4 * s**4 * c), lambda s, c: Fraction(s**2 * c**3, 2), 8),
+    ]
+
+    @pytest.mark.parametrize("family, base, companion, even, odd, scale", FORMS,
+                             ids=lambda x: getattr(x, "label", None))
+    def test_triangle_and_mgon_forms(self, family, base, companion, even, odd, scale):
+        for k in range(1, 13):
+            s, c = term(base, k), term(companion, k)
+            triangle = even(s, c) if k % 2 == 0 else odd(s, c)
+            assert closed_triangle_area(family, k).area == scale * triangle, k
+            for m in range(3, 9):
+                core = abs((m - 1) * s * term(base, 2 * k) - s * term(base, (2 * m - 2) * k))
+                assert mgon_area(family, k, m) == Fraction(scale * core, 2), (k, m)
 
 
 class TestGeneralTriangleArea:

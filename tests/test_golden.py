@@ -348,6 +348,11 @@ CASES = [
     pytest.param(AREA + ("--method", "closed"), "509696\n", id="area-closed-markdown"),
     pytest.param(AREA + ("--method", "both"), AREA_BOTH_MARKDOWN, id="area-both-markdown"),
     pytest.param(
+        ("area", "jacobsthal", "--n", "7", "--k", "3", "--m", "5", "--method", "both"),
+        "oracle: 0\nclosed: 0\nMATCH\n",
+        id="area-jacobsthal-both-markdown",
+    ),
+    pytest.param(
         ("verify", "jacobsthal", "--n", "0..1", "--k", "1..2", "--m", "3"),
         VERIFY_JACOBSTHAL_MARKDOWN,
         id="verify-collinear-markdown",

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -61,8 +62,8 @@ class TestVerifyFamily:
     def test_unsupported_family(self):
         with pytest.raises(UnsupportedFamilyError):
             verify_family(SequenceFamily.tribonacci(), [1], [1], [3])
-        with pytest.raises(UnsupportedFamilyError):
-            verify_family(SequenceFamily.jacobsthal(), [1], [1], [3])
+        report = verify_family(SequenceFamily.jacobsthal(), [1], [1], [3])
+        assert report.fail_count == 0 and report.pass_count == 1
 
     def test_empty_range_rejected(self):
         with pytest.raises(ValueError):
@@ -74,6 +75,24 @@ class TestVerifyFamily:
                 SequenceFamily.fibonacci(), [0], [30], range(3, 11)
             )
         assert 0 + (2 * 10 - 1) * 30 > MAX_SEQUENCE_INDEX
+
+    def test_guardrail_checked_before_ranges_are_listed(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="guardrail"):
+                verify_family(SequenceFamily.fibonacci(), range(0, 2_000_001), [1], [3])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_zero_closed_area_cells_are_collinear(self):
+        report = verify_family(
+            SequenceFamily.jacobsthal_lucas(), range(0, 9), range(1, 7), range(3, 9)
+        )
+        assert report.fail_count == 0
+        assert report.pass_count == len(report.cells) == 9 * 6 * 6
+        assert all(c.closed_area == 0 and c.note == "collinear" for c in report.cells)
 
     def test_report_counts_are_consistent(self):
         report = verify_family(
