@@ -33,7 +33,6 @@ from .numerics import (
     IrrationalResidueError,
     QuadElem,
     RadicandMismatchError,
-    Rational,
     rational_str,
 )
 from .sequences import (
@@ -46,7 +45,6 @@ from .sequences import (
     binet_params,
     family_term,
     family_terms,
-    iter_terms,
     polygonal_number,
     preset,
     term,
@@ -79,7 +77,6 @@ __all__ = [
     "PolygonalTableCell",
     "QuadElem",
     "RadicandMismatchError",
-    "Rational",
     "RecurrenceSpec",
     "SequenceFamily",
     "ThirdOrderCell",
@@ -96,7 +93,6 @@ __all__ = [
     "family_terms",
     "general_mgon_area",
     "general_triangle_area",
-    "iter_terms",
     "mgon_area",
     "polygonal_mgon_area",
     "polygonal_number",

@@ -7,8 +7,8 @@ Two independent layers are provided on purpose.  The integer forms
 integer sequence terms; :func:`closed_area_for` picks the m-gon one for a
 family.  The general formulas
 (:func:`general_triangle_area`, :func:`general_mgon_area`) evaluate the
-underlying factored expressions in exact quadratic-field arithmetic and must
-agree with both the integer forms and the shoelace oracle.
+same area from the Binet parameters in exact quadratic-field arithmetic and
+must agree with both the integer forms and the shoelace oracle.
 """
 
 from __future__ import annotations
@@ -44,17 +44,6 @@ def _check_rank(rank: int) -> None:
         raise ValueError(f"polygonal rank must be >= 3, got {rank}")
 
 
-# The Lucas sequences U of the fixed families' recurrences are presets
-# themselves (Fibonacci, Pell, Jacobsthal), so they share their term tables.
-_LUCAS_U = {
-    spec.coefficients: spec
-    for spec in map(
-        preset,
-        (SequenceFamily.fibonacci(), SequenceFamily.pell(), SequenceFamily.jacobsthal()),
-    )
-}
-
-
 @functools.lru_cache(maxsize=64)
 def _horadam(family: SequenceFamily) -> tuple[RecurrenceSpec, int, int]:
     """(U, e, Q) of a family W(n) = P*W(n-1) - Q*W(n-2): the Lucas sequence
@@ -64,7 +53,7 @@ def _horadam(family: SequenceFamily) -> tuple[RecurrenceSpec, int, int]:
     if spec is None or spec.order != 2:
         raise UnsupportedFamilyError(f"no closed form for {family.label}")
     (p, c2), (w0, w1) = spec.coefficients, spec.initial_terms
-    u = _LUCAS_U.get(spec.coefficients) or RecurrenceSpec(2, (p, c2), (0, 1), "U")
+    u = RecurrenceSpec(2, (p, c2), (0, 1), "U")
     return u, p * w0 * w1 - w1 * w1 + c2 * w0 * w0, -c2
 
 
@@ -122,61 +111,53 @@ def closed_triangle_area(family: SequenceFamily, k: int) -> ClosedFormResult:
     return ClosedFormResult(mgon_area(family, k, 3))
 
 
-def general_triangle_area(params: BinetParams, n: int, k: int) -> QuadElem:
-    """Signed triangle area from the factored general formula.
+def _general_twice_signed(params: BinetParams, n: int, k: int, m: int) -> QuadElem:
+    """Twice the signed m-gon area from the Binet parameters, in Q(sqrt d).
 
-    Evaluates ``(a*b*(-1)^n / 2) * (r^k - r^-k)^3 * (r^k + r^-k)
-    * (r^k + (-1)^(k+1) * r^-k)`` exactly.  For the named families the
-    radical part cancels and the absolute value matches
-    :func:`closed_triangle_area`.
-    """
-    _check_k(k)
-    rk = params.r**k
-    rk_inv = rk.inv()
-    last = rk + rk_inv if k % 2 == 1 else rk - rk_inv
-    body = (rk - rk_inv) ** 3 * (rk + rk_inv) * last
-    sign = Fraction(1, 2) if n % 2 == 0 else Fraction(-1, 2)
-    return params.a * params.b * body * sign
-
-
-def general_mgon_area(params: BinetParams, k: int, m: int) -> Fraction:
-    """m-gon area from the general factored formula, as an exact rational.
-
-    For even k the repeated factor is (r^k - r^-k); for odd k it is
-    (r^k + r^-k).  Either way the result is
-    ``|a*b*[(m-1)*first*(r^2k - r^-2k) - first*(r^((2m-2)k) - r^-((2m-2)k))]|/2``
-    and the radical part must cancel.
+    With beta the conjugate of r and D(j) = r^j - beta^j, it is
+    ``-(-1)^n * a*b * D(k) * ((m-1)*D(2k) - D((2m-2)k))``: the form of
+    :func:`twice_signed_area` with Q = -1, U(j) = D(j)/(r - beta) and
+    e = -a*b*(r - beta)^2.  Each beta^j is the conjugate of r^j.
     """
     _check_k(k)
     _check_m(m)
     rk = params.r**k
-    rk_inv = rk.inv()
-    first = rk - rk_inv if k % 2 == 0 else rk + rk_inv
-    r2k, r2k_inv = rk * rk, rk_inv * rk_inv
-    middle = r2k - r2k_inv
+    r2k = rk * rk
     r_span = r2k ** (m - 1)  # r^((2m-2)k)
-    last = r_span - r_span.inv()
-    inner = (m - 1) * first * middle - first * last
-    value = (params.a * params.b * inner).to_rational()
-    return abs(value) / 2
+    inner = (m - 1) * (r2k - r2k.conjugate()) - (r_span - r_span.conjugate())
+    value = params.a * params.b * (rk - rk.conjugate()) * inner
+    return value if n % 2 else -value
+
+
+def general_triangle_area(params: BinetParams, n: int, k: int) -> QuadElem:
+    """Signed triangle area from the general form, exactly in Q(sqrt d).
+
+    For the named families the radical part cancels and the absolute value
+    matches :func:`closed_triangle_area`.
+
+    >>> from seqarea.sequences import SequenceFamily, binet_params
+    >>> fib = binet_params(SequenceFamily.fibonacci())
+    >>> general_triangle_area(fib, 1, 2).to_rational()
+    Fraction(-15, 2)
+    """
+    return _general_twice_signed(params, n, k, 3) * Fraction(1, 2)
+
+
+def general_mgon_area(params: BinetParams, k: int, m: int) -> Fraction:
+    """m-gon area from the general form; its radical part must cancel."""
+    return abs(_general_twice_signed(params, 0, k, m).to_rational()) / 2
 
 
 def polygonal_triangle_area(rank: int, k: int) -> Fraction:
-    """Triangle area on figurate-number vertices: 4*(rank-2)^2*k^4.
-
-    Independent of the start index n.
-    """
-    _check_rank(rank)
-    _check_k(k)
-    return Fraction(4 * (rank - 2) ** 2 * k**4)
+    """Figurate-number triangle area: :func:`polygonal_mgon_area` at m = 3."""
+    return polygonal_mgon_area(rank, k, 3)
 
 
 def polygonal_mgon_area(rank: int, k: int, m: int) -> Fraction:
-    """m-gon area on figurate-number vertices.
+    """m-gon area on figurate-number vertices, independent of the start index n.
 
-    Equals the triangle area scaled by the tetrahedral number
-    m*(m-1)*(m-2)/6, so it reduces to :func:`polygonal_triangle_area` at
-    m = 3.
+    The triangle area 4*(rank-2)^2*k^4 scaled by the tetrahedral number
+    m*(m-1)*(m-2)/6.
     """
     _check_rank(rank)
     _check_k(k)

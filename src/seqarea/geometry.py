@@ -90,7 +90,7 @@ def build_vertices(
         )
     return Polygon(
         tuple(
-            Point(seq[base + 2 * i * k], seq[base + (2 * i + 1) * k])
+            (seq[base + 2 * i * k], seq[base + (2 * i + 1) * k])
             for i in range(spec.m)
         )
     )

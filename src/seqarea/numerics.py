@@ -13,8 +13,6 @@ import functools
 from fractions import Fraction
 from math import gcd, lcm
 
-Rational = Fraction
-
 
 class RadicandMismatchError(ValueError):
     """Raised when combining elements of different quadratic fields."""
@@ -28,16 +26,20 @@ class IrrationalResidueError(ArithmeticError):
     """
 
 
+def _split_square(n: int) -> tuple[int, int]:
+    """(s, d) with n = s^2 * d and d squarefree, for n >= 1, by trial division."""
+    s, d, i = 1, n, 2
+    while i * i <= d:
+        while d % (i * i) == 0:
+            d //= i * i
+            s *= i
+        i += 1
+    return s, d
+
+
 def is_squarefree(d: int) -> bool:
     """True if no square > 1 divides d (d >= 1)."""
-    if d < 1:
-        return False
-    i = 2
-    while i * i <= d:
-        if d % (i * i) == 0:
-            return False
-        i += 1
-    return True
+    return d >= 1 and _split_square(d)[0] == 1
 
 
 @functools.lru_cache(maxsize=64, typed=True)

@@ -13,9 +13,8 @@ import enum
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
 
-from .numerics import QuadElem
+from .numerics import QuadElem, _split_square
 
 
 class UnsupportedFamilyError(ValueError):
@@ -206,6 +205,10 @@ MAX_TERM_INDEX = 100_000
 # command exits 2 before it builds a cell.
 MAX_TABLE_CELLS = 160_000
 
+# Stride cap of `table third-order`, whose cost grows like k_max^2 (a cell's
+# area has digits in proportion to k).  Past it the command exits 2.
+MAX_THIRD_ORDER_K = 2_000
+
 
 def _extend(spec: RecurrenceSpec, window: list[int], count: int) -> list[int]:
     """Append terms to ``window`` (at least ``order`` consecutive terms) by
@@ -277,15 +280,6 @@ def term(spec: RecurrenceSpec, n: int) -> int:
     return terms(spec, n, 1)[0]
 
 
-def iter_terms(spec: RecurrenceSpec) -> Iterator[int]:
-    """Infinite iterator over f(0), f(1), f(2), ... by forward iteration."""
-    window = list(spec.initial_terms)
-    while True:
-        yield window[0]
-        _extend(spec, window, spec.order + 1)
-        del window[0]
-
-
 def polygonal_number(rank: int, n: int) -> int:
     """The n-th figurate number of the given rank (3 triangular, 4 square, ...).
 
@@ -316,7 +310,8 @@ def family_terms(family: SequenceFamily, start: int, count: int) -> list[int]:
 @dataclass(frozen=True)
 class BinetParams:
     """Exact parameters (a, b, r) of the closed form
-    ``f(n) = a*r^n + b*(-1)^(n+1)/r^n`` over one quadratic field."""
+    ``f(n) = a*r^n - b*beta^n`` over one quadratic field, where beta is the
+    conjugate of r."""
 
     a: QuadElem
     b: QuadElem
@@ -327,17 +322,6 @@ class BinetParams:
             raise ValueError("a, b, r must share one radicand")
         if not self.r:
             raise ValueError("r must be nonzero")
-
-
-def _split_square(n: int) -> tuple[int, int]:
-    """(s, d) with n = s^2 * d and d squarefree, for n >= 1."""
-    s, d, i = 1, n, 2
-    while i * i <= d:
-        while d % (i * i) == 0:
-            d //= i * i
-            s *= i
-        i += 1
-    return s, d
 
 
 def binet_params(family: SequenceFamily) -> BinetParams:
@@ -366,8 +350,7 @@ def binet_params(family: SequenceFamily) -> BinetParams:
 
 
 def binet_eval(params: BinetParams, n: int) -> Fraction:
-    """Evaluate a*r^n + b*(-1)^(n+1)/r^n exactly; the radical part must cancel."""
-    sign = 1 if (n + 1) % 2 == 0 else -1
+    """Evaluate a*r^n - b*beta^n exactly, with beta^n the conjugate of r^n;
+    the radical part must cancel."""
     r_n = params.r**n
-    value = params.a * r_n + sign * params.b * r_n.inv()
-    return value.to_rational()
+    return (params.a * r_n - params.b * r_n.conjugate()).to_rational()

@@ -19,6 +19,7 @@ from .geometry import PolygonSpec, build_vertices, collinear, shoelace_area
 from .sequences import (
     MAX_SEQUENCE_INDEX,
     MAX_TABLE_CELLS,
+    MAX_THIRD_ORDER_K,
     FamilyKind,
     SequenceFamily,
     UnsupportedFamilyError,
@@ -305,6 +306,8 @@ def third_order_table(
         raise ValueError(f"start index n must be >= 0, got {n}")
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
+    if k_max > MAX_THIRD_ORDER_K:
+        raise ValueError(f"k_max {k_max} is beyond the {MAX_THIRD_ORDER_K} stride cap")
     families = {
         "tribonacci": SequenceFamily.tribonacci(),
         "perrin": SequenceFamily.perrin(),

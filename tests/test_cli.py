@@ -16,8 +16,8 @@ from seqarea import (
     rational_str,
     shoelace_area,
 )
-from seqarea.sequences import MAX_TABLE_CELLS, MAX_TERM_INDEX
-from seqarea.verify import polygonal_table
+from seqarea.sequences import MAX_TABLE_CELLS, MAX_TERM_INDEX, MAX_THIRD_ORDER_K
+from seqarea.verify import polygonal_table, third_order_table
 
 EXPECTED_POLYGONAL_MARKDOWN = """\
 Coefficient of k^4 in the m-gon area on polygonal-number vertices
@@ -343,6 +343,24 @@ class TestTableBudget:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(MAX_TABLE_CELLS) in err
+
+
+class TestThirdOrderCap:
+    """`table third-order` stops at MAX_THIRD_ORDER_K before it fetches a term."""
+
+    def test_at_the_cap(self):
+        table = third_order_table(0, MAX_THIRD_ORDER_K)
+        assert len(table.cells) == 3 * MAX_THIRD_ORDER_K
+
+    def test_past_the_cap(self, capsys):
+        code, out, err = run(
+            capsys, "table", "third-order", "--n", "0",
+            "--k-max", str(MAX_THIRD_ORDER_K + 1),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(MAX_THIRD_ORDER_K) in err
 
 
 class TestArgumentHandling:

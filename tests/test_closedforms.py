@@ -194,6 +194,50 @@ class TestGeneralTriangleArea:
                 assert lemma == closed_triangle_area(family, k).area
 
 
+class TestGeneralKernel:
+    """The one signed Q(sqrt d) kernel against the oracle and the paper."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        c1=st.sampled_from([c for c in range(-6, 7) if c != 0]),
+        w0=st.integers(-9, 9),
+        w1=st.integers(-9, 9),
+        n=st.integers(0, 8),
+        k=st.integers(1, 8),
+        m=st.integers(3, 8),
+    )
+    def test_matches_signed_shoelace(self, c1, w0, w1, n, k, m):
+        family = custom(c1, -1, w0, w1)  # W(n) = c1*W(n-1) + W(n-2)
+        params = binet_params(family)
+        triangle = build_vertices(PolygonSpec(family, n, k, 3))
+        signed = general_triangle_area(params, n, k).to_rational()
+        assert signed == shoelace_signed(triangle)
+        assert general_mgon_area(params, k, m) == oracle_area(family, n, k, m)
+
+    @staticmethod
+    def paper_triangle(params, n, k):
+        """The paper's factored triangle, written with r^-k."""
+        rk = params.r**k
+        rk_inv = rk.inv()
+        return (
+            params.a * params.b * Fraction((-1) ** n, 2)
+            * (rk - rk_inv) ** 3 * (rk + rk_inv) * (rk + (-1) ** (k + 1) * rk_inv)
+        )
+
+    @pytest.mark.parametrize(
+        "family",
+        [SequenceFamily.fibonacci(), SequenceFamily.lucas(), SequenceFamily.generalized(2, 5),
+         SequenceFamily.pell(), SequenceFamily.pell_lucas(), custom(3, -1, 0, 1)],
+        ids=lambda f: f.label,
+    )
+    def test_matches_paper_triangle(self, family):
+        params = binet_params(family)
+        for n in range(6):
+            for k in range(1, 13):
+                expected = self.paper_triangle(params, n, k)
+                assert general_triangle_area(params, n, k) == expected, (n, k)
+
+
 class TestMgonArea:
     def test_fibonacci_examples(self):
         fib = SequenceFamily.fibonacci()

@@ -1,5 +1,4 @@
 from fractions import Fraction
-from itertools import islice
 
 import pytest
 
@@ -13,7 +12,6 @@ from seqarea.sequences import (
     binet_eval,
     binet_params,
     family_term,
-    iter_terms,
     polygonal_number,
     preset,
     term,
@@ -94,10 +92,6 @@ class TestTerm:
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
             term(preset(SequenceFamily.fibonacci()), -1)
-
-    def test_iter_terms_matches_term(self):
-        spec = preset(SequenceFamily.tribonacci())
-        assert list(islice(iter_terms(spec), 12)) == [term(spec, n) for n in range(12)]
 
 
 class TestPolygonalNumber:
