@@ -25,7 +25,7 @@ from typing import Sequence
 from .closedforms import closed_area_for
 from .geometry import PolygonSpec, build_vertices, shoelace_area
 from .numerics import rational_str
-from .sequences import MAX_TERM_INDEX, FamilyKind, SequenceFamily, family_terms
+from .sequences import FamilyKind, SequenceFamily, check_term_budget, family_terms
 from .verify import (
     PolygonalTable,
     ThirdOrderCell,
@@ -61,32 +61,15 @@ def parse_triple(text: str) -> tuple[int, int, int]:
 
 
 def resolve_family(args: argparse.Namespace) -> SequenceFamily:
-    """Build a SequenceFamily from CLI arguments, rejecting stray parameters."""
+    """Build a SequenceFamily from CLI arguments; it rejects stray parameters."""
     name = args.family
-    s = getattr(args, "s", None)
-    t = getattr(args, "t", None)
-    rank = getattr(args, "rank", None)
-    initial = getattr(args, "initial_terms", None)
-    if name == "generalized":
-        if s is None or t is None:
-            raise ValueError("family 'generalized' requires --s and --t")
-    elif s is not None or t is not None:
-        raise ValueError("--s and --t apply only to family 'generalized'")
-    if name == "polygonal":
-        if rank is None:
-            raise ValueError("family 'polygonal' requires --rank")
-    elif rank is not None:
-        raise ValueError("--rank applies only to family 'polygonal'")
-    if name != "padovan" and initial is not None:
-        raise ValueError("--initial-terms applies only to family 'padovan'")
-
-    if name == "generalized":
-        return SequenceFamily.generalized(s, t)
-    if name == "polygonal":
-        return SequenceFamily.polygonal(rank)
-    if name == "padovan":
-        return SequenceFamily.padovan(initial) if initial else SequenceFamily.padovan()
-    return SequenceFamily(FamilyKind(name))
+    if name == "generalized" and (args.s is None or args.t is None):
+        raise ValueError("family 'generalized' requires --s and --t")
+    if name == "polygonal" and args.rank is None:
+        raise ValueError("family 'polygonal' requires --rank")
+    return SequenceFamily(
+        FamilyKind(name), s=args.s, t=args.t, rank=args.rank, initial=args.initial_terms
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -314,18 +297,10 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _check_term_budget(index: int) -> None:
-    if index > MAX_TERM_INDEX:
-        raise ValueError(
-            f"request reaches sequence index {index}, beyond the "
-            f"{MAX_TERM_INDEX} term-index budget"
-        )
-
-
 def _cmd_gen(args: argparse.Namespace) -> int:
     if args.count < 0:
         raise ValueError(f"--count must be >= 0, got {args.count}")
-    _check_term_budget(args.count - 1)
+    check_term_budget(args.count - 1)
     family = resolve_family(args)
     values = family_terms(family, 0, args.count)
     _emit(render_gen(values, args.format), args.out)
@@ -335,7 +310,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _cmd_area(args: argparse.Namespace) -> int:
     family = resolve_family(args)
     spec = PolygonSpec(family, args.n, args.k, args.m)
-    _check_term_budget(spec.max_index)
+    check_term_budget(spec.max_index)
     oracle = closed = None
     if args.method in ("oracle", "both"):
         oracle = shoelace_area(build_vertices(spec))
@@ -360,8 +335,6 @@ def _cmd_polygonal_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_third_order_table(args: argparse.Namespace) -> int:
-    # The triangle at k = k_max reaches index n + 5*k_max.
-    _check_term_budget(args.n + 5 * args.k_max)
     table = third_order_table(args.n, args.k_max, args.padovan_initial)
     _emit(render_third_order_table(table, args.format), args.out)
     return 0
@@ -463,7 +436,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_third.add_argument(
         "--padovan-initial",
         type=parse_triple,
-        default=(1, 1, 1),
         metavar="A,B,C",
         help="padovan start values (default 1,1,1)",
     )

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .sequences import SequenceFamily, family_terms
+from .sequences import SequenceFamily, check_domain, family_terms, reach
 
 
 class Point(NamedTuple):
@@ -57,17 +57,12 @@ class PolygonSpec:
     m: int
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError(f"start index n must be >= 0, got {self.n}")
-        if self.k < 1:
-            raise ValueError(f"stride k must be >= 1, got {self.k}")
-        if self.m < 3:
-            raise ValueError(f"vertex count m must be >= 3, got {self.m}")
+        check_domain(self.n, self.k, self.m)
 
     @property
     def max_index(self) -> int:
         """Largest sequence index the vertex pattern touches."""
-        return self.n + (2 * self.m - 1) * self.k
+        return reach(self.n, self.k, self.m)
 
 
 def build_vertices(

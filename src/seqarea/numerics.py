@@ -94,9 +94,10 @@ def _inv_parts(a: int, b: int, c: int, d: int) -> tuple[int, int, int]:
 class QuadElem:
     """An element ``p + q*sqrt(d)`` of the field Q(sqrt(d)).
 
-    ``d`` must be a squarefree integer >= 2, so the representation is unique
-    and equality is componentwise.  Elements with different radicands never
-    mix: combining them raises :class:`RadicandMismatchError`.
+    ``p`` and ``q`` must be ``int`` or ``Fraction`` (a float raises
+    ``TypeError``) and ``d`` a squarefree integer >= 2, so the representation
+    is unique and equality is componentwise.  Elements with different
+    radicands never mix: combining them raises :class:`RadicandMismatchError`.
 
     Internally the element is ``(a + b*sqrt(d))/c`` in integers with
     ``c > 0`` and ``gcd(a, b, c) == 1``; ``p`` and ``q`` are read-only
@@ -115,15 +116,13 @@ class QuadElem:
             raise ValueError(f"radicand must be squarefree and >= 2, got {d}")
         if type(p) is int and type(q) is int:
             a, b, c = p, q, 1
-        else:
-            if not isinstance(p, (int, Fraction)):
-                p = Fraction(p)
-            if not isinstance(q, (int, Fraction)):
-                q = Fraction(q)
+        elif isinstance(p, (int, Fraction)) and isinstance(q, (int, Fraction)):
             # Both parts are reduced, so gcd(a, b, c) is already 1.
             c = lcm(p.denominator, q.denominator)
             a = p.numerator * (c // p.denominator)
             b = q.numerator * (c // q.denominator)
+        else:
+            raise TypeError(f"parts must be int or Fraction, got {p!r} and {q!r}")
         self._a = a
         self._b = b
         self._c = c

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .numerics import QuadElem, _split_square
@@ -33,7 +33,7 @@ class RecurrenceSpec:
     order: int
     coefficients: tuple[int, ...]
     initial_terms: tuple[int, ...]
-    label: str = ""
+    label: str = field(default="", compare=False)  # a name, not part of the value
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "coefficients", tuple(self.coefficients))
@@ -63,12 +63,22 @@ class FamilyKind(enum.Enum):
 
 DEFAULT_PADOVAN_INITIAL = (1, 1, 1)
 
+# The one family kind that takes each parameter field; other kinds take none.
+_FIELD_OWNERS = {
+    "s": FamilyKind.GENERALIZED_FIBONACCI, "t": FamilyKind.GENERALIZED_FIBONACCI,
+    "rank": FamilyKind.POLYGONAL, "initial": FamilyKind.PADOVAN,
+    "spec": FamilyKind.CUSTOM,
+}
+
+
 @dataclass(frozen=True)
 class SequenceFamily:
     """A named sequence family plus whatever parameters it needs.
 
-    Use the classmethod constructors; they validate the parameter set for
-    the kind (e.g. ``generalized`` needs s and t, ``polygonal`` a rank >= 3).
+    The constructor validates the parameter set for the kind: a field the
+    kind does not take must be None, ``generalized`` needs s and t,
+    ``polygonal`` a rank >= 3, ``custom`` a spec, and ``padovan`` gets the
+    initial triple (1, 1, 1) unless given one.
     """
 
     kind: FamilyKind
@@ -79,6 +89,11 @@ class SequenceFamily:
     spec: RecurrenceSpec | None = None
 
     def __post_init__(self) -> None:
+        for name, owner in _FIELD_OWNERS.items():
+            if owner is not self.kind and getattr(self, name) is not None:
+                raise ValueError(
+                    f"parameter {name!r} applies only to family '{owner.value}'"
+                )
         if self.kind is FamilyKind.GENERALIZED_FIBONACCI:
             if self.s is None or self.t is None:
                 raise ValueError("generalized family requires s and t")
@@ -86,7 +101,7 @@ class SequenceFamily:
             if self.rank is None or self.rank < 3:
                 raise ValueError("polygonal family requires rank >= 3")
         elif self.kind is FamilyKind.PADOVAN:
-            initial = self.initial or DEFAULT_PADOVAN_INITIAL
+            initial = DEFAULT_PADOVAN_INITIAL if self.initial is None else self.initial
             if len(initial) != 3:
                 raise ValueError("padovan initial terms must be a triple")
             object.__setattr__(self, "initial", tuple(initial))
@@ -135,8 +150,8 @@ class SequenceFamily:
         return cls(FamilyKind.PERRIN)
 
     @classmethod
-    def padovan(cls, initial: tuple[int, int, int] = DEFAULT_PADOVAN_INITIAL) -> SequenceFamily:
-        return cls(FamilyKind.PADOVAN, initial=tuple(initial))
+    def padovan(cls, initial: tuple[int, int, int] | None = None) -> SequenceFamily:
+        return cls(FamilyKind.PADOVAN, initial=initial)
 
     @classmethod
     def custom(cls, spec: RecurrenceSpec) -> SequenceFamily:
@@ -149,8 +164,8 @@ class SequenceFamily:
         if self.kind is FamilyKind.POLYGONAL:
             return f"polygonal(rank={self.rank})"
         if self.kind is FamilyKind.PADOVAN:
-            terms = ",".join(str(v) for v in (self.initial or DEFAULT_PADOVAN_INITIAL))
-            return f"padovan(initial={terms})"
+            assert self.initial is not None
+            return f"padovan(initial={','.join(str(v) for v in self.initial)})"
         if self.kind is FamilyKind.CUSTOM:
             assert self.spec is not None
             return f"custom({self.spec.label or 'unnamed'})"
@@ -180,8 +195,8 @@ def preset(family: SequenceFamily) -> RecurrenceSpec:
         assert family.s is not None and family.t is not None
         return RecurrenceSpec(2, (1, 1), (family.t - family.s, family.s), family.label)
     if kind is FamilyKind.PADOVAN:
-        initial = family.initial or DEFAULT_PADOVAN_INITIAL
-        return RecurrenceSpec(3, (0, 1, 1), tuple(initial), family.label)
+        assert family.initial is not None
+        return RecurrenceSpec(3, (0, 1, 1), family.initial, family.label)
     if kind is FamilyKind.CUSTOM:
         assert family.spec is not None
         return family.spec
@@ -190,16 +205,48 @@ def preset(family: SequenceFamily) -> RecurrenceSpec:
     )
 
 
-# Grid guardrail: the largest sequence index n + (2m-1)k a verification grid
-# may touch.  It keeps term sizes in the low hundreds of digits and grid runs
-# in seconds, and every index up to it is read from one bounded table per
-# recurrence (see ``_small_table``).
+# Request rules: the vertex domain, its reach and the index budgets.  A rule
+# that several modules apply is checked by one function here.
+
+
+def check_domain(n: int = 0, k: int = 1, m: int = 3, rank: int = 3) -> None:
+    """Refuse a vertex pattern outside its domain: figurate rank >= 3 (checked
+    first), start index n >= 0, stride k >= 1 and vertex count m >= 3."""
+    if rank < 3:
+        raise ValueError(f"polygonal rank must be >= 3, got {rank}")
+    if n < 0:
+        raise ValueError(f"start index n must be >= 0, got {n}")
+    if k < 1:
+        raise ValueError(f"stride k must be >= 1, got {k}")
+    if m < 3:
+        raise ValueError(f"vertex count m must be >= 3, got {m}")
+
+
+def reach(n: int, k: int, m: int) -> int:
+    """The largest sequence index n + (2m-1)k of the m-gon at (n, k)."""
+    return n + (2 * m - 1) * k
+
+
+# Grid guardrail: the largest sequence index a verification grid may reach.
+# It keeps term sizes in the low hundreds of digits and grid runs in seconds,
+# and every index up to it is read from one bounded table per recurrence
+# (see ``_small_table``).
 MAX_SEQUENCE_INDEX = 400
 
 # Index budget of `area`, `gen --count` and `table third-order`: the largest
 # sequence index they may touch.  A term there has up to about 38,000 digits
 # (Pell); past it the command exits 2.
 MAX_TERM_INDEX = 100_000
+
+
+def check_term_budget(index: int) -> None:
+    """Refuse a request that reaches past the term-index budget."""
+    if index > MAX_TERM_INDEX:
+        raise ValueError(
+            f"request reaches sequence index {index}, beyond the "
+            f"{MAX_TERM_INDEX} term-index budget"
+        )
+
 
 # Cell budget of `table polygonal`: 400 m values by 400 ranks.  Past it the
 # command exits 2 before it builds a cell.
@@ -285,8 +332,7 @@ def polygonal_number(rank: int, n: int) -> int:
 
     Closed form n*(n*(rank-2) - (rank-4))/2, which is always an integer.
     """
-    if rank < 3:
-        raise ValueError(f"polygonal rank must be >= 3, got {rank}")
+    check_domain(rank=rank)
     if n < 0:
         raise ValueError(f"polygonal index must be >= 0, got {n}")
     twice = n * (n * (rank - 2) - (rank - 4))
@@ -311,7 +357,7 @@ def family_terms(family: SequenceFamily, start: int, count: int) -> list[int]:
 class BinetParams:
     """Exact parameters (a, b, r) of the closed form
     ``f(n) = a*r^n - b*beta^n`` over one quadratic field, where beta is the
-    conjugate of r."""
+    conjugate of r and equals -1/r: r must have norm -1."""
 
     a: QuadElem
     b: QuadElem
@@ -320,8 +366,8 @@ class BinetParams:
     def __post_init__(self) -> None:
         if not (self.a.d == self.b.d == self.r.d):
             raise ValueError("a, b, r must share one radicand")
-        if not self.r:
-            raise ValueError("r must be nonzero")
+        if self.r.norm() != -1:
+            raise ValueError(f"r must have norm -1, got {self.r.norm()}")
 
 
 def binet_params(family: SequenceFamily) -> BinetParams:

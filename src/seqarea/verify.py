@@ -23,7 +23,10 @@ from .sequences import (
     FamilyKind,
     SequenceFamily,
     UnsupportedFamilyError,
+    check_domain,
+    check_term_budget,
     family_terms,
+    reach,
 )
 
 
@@ -65,17 +68,6 @@ def _largest(values: Sequence[int]) -> int:
     return max(values[0], values[-1]) if isinstance(values, range) else max(values)
 
 
-def _check_guardrail(ns: Sequence[int], ks: Sequence[int], ms: Sequence[int]) -> int:
-    """The largest index the grid touches, if within the guardrail."""
-    worst = _largest(ns) + (2 * _largest(ms) - 1) * _largest(ks)
-    if worst > MAX_SEQUENCE_INDEX:
-        raise ValueError(
-            f"grid reaches sequence index {worst}, beyond the "
-            f"{MAX_SEQUENCE_INDEX} guardrail"
-        )
-    return worst
-
-
 def verify_family(
     family: SequenceFamily,
     n_range: Iterable[int],
@@ -94,7 +86,12 @@ def verify_family(
     ns = _as_range(n_range, "n")
     ks = _as_range(k_range, "k")
     ms = _as_range(m_range, "m")
-    worst = _check_guardrail(ns, ks, ms)
+    worst = reach(_largest(ns), _largest(ks), _largest(ms))
+    if worst > MAX_SEQUENCE_INDEX:
+        raise ValueError(
+            f"grid reaches sequence index {worst}, beyond the "
+            f"{MAX_SEQUENCE_INDEX} guardrail"
+        )
     started = time.perf_counter()
     seq = family_terms(family, 0, worst + 1)
     # The closed area does not depend on n: one evaluation per (k, m).
@@ -278,7 +275,7 @@ class ThirdOrderCell:
 class ThirdOrderTable:
     n: int
     k_max: int
-    padovan_initial: tuple[int, int, int]
+    padovan_initial: tuple[int, ...]
     cells: tuple[ThirdOrderCell, ...]
 
     def cell(self, column: str, k: int) -> ThirdOrderCell:
@@ -294,28 +291,31 @@ class ThirdOrderTable:
 def third_order_table(
     n: int,
     k_max: int,
-    padovan_initial: tuple[int, int, int] = (1, 1, 1),
+    padovan_initial: tuple[int, int, int] | None = None,
 ) -> ThirdOrderTable:
     """Oracle triangle areas for tribonacci / perrin / padovan vertices.
 
     Published values attach only where they exist (n = 1, k <= 6).  Padovan
     rows always carry UNVERIFIED-CONVENTION because the published column's
     initial terms are unknown; the caller picks the convention to compute.
+    The term-index budget is checked first, then n >= 0 and 1 <= k_max <= cap.
     """
-    if n < 0:
-        raise ValueError(f"start index n must be >= 0, got {n}")
+    last = reach(n, k_max, 3)  # the triangle at k = k_max reaches furthest
+    check_term_budget(last)
+    check_domain(n)
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
     if k_max > MAX_THIRD_ORDER_K:
         raise ValueError(f"k_max {k_max} is beyond the {MAX_THIRD_ORDER_K} stride cap")
+    padovan = SequenceFamily.padovan(padovan_initial)
     families = {
         "tribonacci": SequenceFamily.tribonacci(),
         "perrin": SequenceFamily.perrin(),
-        "padovan": SequenceFamily.padovan(tuple(padovan_initial)),
+        "padovan": padovan,
     }
-    # One slice per family, f(n) .. f(n + 5*k_max): every triangle's window.
+    # One slice per family, f(n) .. f(last): every triangle's window.
     slices = {
-        column: family_terms(family, n, 5 * k_max + 1)
+        column: family_terms(family, n, last - n + 1)
         for column, family in families.items()
     }
     cells = []
@@ -333,4 +333,4 @@ def third_order_table(
             else:
                 status = STATUS_MISMATCH
             cells.append(ThirdOrderCell(column, k, computed, published, status))
-    return ThirdOrderTable(n, k_max, tuple(padovan_initial), tuple(cells))
+    return ThirdOrderTable(n, k_max, padovan.initial, tuple(cells))

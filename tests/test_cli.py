@@ -437,3 +437,83 @@ def test_module_entry_point():
     )
     assert result.returncode == 0
     assert result.stdout == "oracle: 4\nclosed: 4\nMATCH\n"
+
+
+# Every refusal the CLI makes after parsing: argv and its one stderr line.
+REFUSALS = [
+    # the term-index budget
+    (["gen", "polygonal", "--rank", "3", "--count", str(MAX_TERM_INDEX + 2)],
+     "request reaches sequence index 100001, beyond the 100000 term-index budget"),
+    (["area", "fibonacci", "--n", str(MAX_TERM_INDEX - 4), "--k", "1", "--m", "3"],
+     "request reaches sequence index 100001, beyond the 100000 term-index budget"),
+    (["table", "third-order", "--n", str(MAX_TERM_INDEX - 4), "--k-max", "1"],
+     "request reaches sequence index 100001, beyond the 100000 term-index budget"),
+    (["table", "third-order", "--n", "0", "--k-max", "20001"],
+     "request reaches sequence index 100005, beyond the 100000 term-index budget"),
+    # the verify guardrail, the table-cell budget and the stride cap
+    (["verify", "fibonacci", "--n", "0..400", "--k", "1", "--m", "3"],
+     "grid reaches sequence index 405, beyond the 400 guardrail"),
+    (["verify", "pell", "--n", "0", "--k", "1..100", "--m", "3"],
+     "grid reaches sequence index 500, beyond the 400 guardrail"),
+    (["table", "polygonal", "--m", "3", "--rank", f"3..{3 + MAX_TABLE_CELLS}"],
+     "table has 160001 cells, beyond the 160000 table-cell budget"),
+    (["table", "third-order", "--n", "0", "--k-max", str(MAX_THIRD_ORDER_K + 1)],
+     "k_max 2001 is beyond the 2000 stride cap"),
+    # the vertex domain
+    (["area", "fibonacci", "--n", "-1", "--k", "1", "--m", "3"],
+     "start index n must be >= 0, got -1"),
+    (["area", "fibonacci", "--n", "1", "--k", "0", "--m", "3"],
+     "stride k must be >= 1, got 0"),
+    (["area", "polygonal", "--rank", "5", "--n", "1", "--k", "1", "--m", "2"],
+     "vertex count m must be >= 3, got 2"),
+    (["verify", "lucas", "--n=-2..1", "--k", "1", "--m", "3"],
+     "start index n must be >= 0, got -2"),
+    (["verify", "lucas", "--n", "1", "--k", "0..1", "--m", "3"],
+     "stride k must be >= 1, got 0"),
+    (["verify", "lucas", "--n", "1", "--k", "1", "--m", "2..3"],
+     "vertex count m must be >= 3, got 2"),
+    (["table", "polygonal", "--m", "2..4"], "vertex count m must be >= 3, got 2"),
+    (["table", "polygonal", "--rank", "2..4"], "polygonal rank must be >= 3, got 2"),
+    (["table", "third-order", "--n", "-1"], "start index n must be >= 0, got -1"),
+    (["table", "third-order", "--k-max", "0"], "k_max must be >= 1, got 0"),
+    (["gen", "fibonacci", "--count", "-2"], "--count must be >= 0, got -2"),
+    # families without a closed form
+    (["area", "tribonacci", "--n", "1", "--k", "1", "--m", "3", "--method", "closed"],
+     "no closed form for tribonacci"),
+    (["verify", "padovan", "--n", "1", "--k", "1", "--m", "3"],
+     "no closed form for padovan(initial=1,1,1)"),
+    # family parameters
+    (["gen", "generalized", "--count", "3"], "family 'generalized' requires --s and --t"),
+    (["gen", "generalized", "--t", "2", "--count", "3"],
+     "family 'generalized' requires --s and --t"),
+    (["gen", "polygonal", "--count", "3"], "family 'polygonal' requires --rank"),
+    (["gen", "polygonal", "--rank", "2", "--count", "3"],
+     "polygonal family requires rank >= 3"),
+    (["gen", "fibonacci", "--s", "1", "--count", "3"],
+     "parameter 's' applies only to family 'generalized'"),
+    (["area", "pell", "--t", "1", "--n", "1", "--k", "1", "--m", "3"],
+     "parameter 't' applies only to family 'generalized'"),
+    (["verify", "lucas", "--rank", "3", "--n", "1", "--k", "1", "--m", "3"],
+     "parameter 'rank' applies only to family 'polygonal'"),
+    (["gen", "tribonacci", "--initial-terms", "1,0,0", "--count", "3"],
+     "parameter 'initial' applies only to family 'padovan'"),
+    # two faults in one request: a missing flag wins over a stray one
+    (["gen", "polygonal", "--s", "1", "--count", "3"],
+     "family 'polygonal' requires --rank"),
+    (["gen", "generalized", "--s", "1", "--t", "2", "--rank", "2", "--count", "3"],
+     "parameter 'rank' applies only to family 'polygonal'"),
+    (["gen", "polygonal", "--rank", "2", "--initial-terms", "1,0,0", "--count", "3"],
+     "parameter 'initial' applies only to family 'padovan'"),
+    (["table", "polygonal", "--m", "2..3", "--rank", "2..3"],
+     "polygonal rank must be >= 3, got 2"),
+    (["area", "fibonacci", "--n", "-1", "--k", "0", "--m", "2"],
+     "start index n must be >= 0, got -1"),
+    (["table", "third-order", "--n", "-1", "--k-max", "30000"],
+     "request reaches sequence index 149999, beyond the 100000 term-index budget"),
+]
+
+
+@pytest.mark.parametrize("argv, line", REFUSALS, ids=[" ".join(a) for a, _ in REFUSALS])
+def test_refusal_line(capsys, argv, line):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {line}\n")

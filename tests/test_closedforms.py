@@ -330,6 +330,16 @@ class TestGeneralFormsAtScale:
 
 
 class TestPolygonalAreas:
+    def test_mgon_area_answers_polygonal(self):
+        for rank in range(3, 9):
+            family = SequenceFamily.polygonal(rank)
+            assert closed_triangle_area(family, 1).area == 4 * (rank - 2) ** 2
+            for k in range(1, 4):
+                for m in range(3, 7):
+                    assert mgon_area(family, k, m) == polygonal_mgon_area(rank, k, m)
+        with pytest.raises(ValueError):
+            mgon_area(SequenceFamily.polygonal(5), 0, 3)
+
     def test_triangle_values(self):
         assert polygonal_triangle_area(3, 1) == 4
         assert polygonal_triangle_area(4, 2) == 256

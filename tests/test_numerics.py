@@ -126,6 +126,13 @@ class TestConstruction:
         x = QuadElem(2, 3, 5)
         assert isinstance(x.p, Fraction) and isinstance(x.q, Fraction)
 
+    @pytest.mark.parametrize("part", [0.1, "1/3", 1.0])
+    def test_parts_must_be_exact(self, part):
+        with pytest.raises(TypeError):
+            QuadElem(part, 0, 5)
+        with pytest.raises(TypeError):
+            QuadElem(0, part, 5)
+
     def test_equality_is_componentwise(self):
         assert QuadElem(1, 2, 5) != QuadElem(1, 2, 2)
         assert QuadElem(Fraction(2, 4), Fraction(1, 2), 5) == PHI

@@ -205,6 +205,12 @@ class TestBinetParams:
         with pytest.raises(ValueError):
             BinetParams(QuadElem(1, 0, 5), QuadElem(1, 0, 2), QuadElem(1, 1, 2))
 
+    def test_root_of_another_norm_rejected(self):
+        fib = binet_params(SequenceFamily.fibonacci())
+        with pytest.raises(ValueError):
+            BinetParams(fib.a, fib.b, QuadElem(3, 1, 5))  # norm 4
+        assert BinetParams(fib.a, fib.b, fib.r.conjugate()).r.norm() == -1
+
     def test_zero_root_rejected(self):
         zero = QuadElem(0, 0, 5)
         one = QuadElem(1, 0, 5)
@@ -267,10 +273,41 @@ class TestValidation:
             SequenceFamily(FamilyKind.GENERALIZED_FIBONACCI, s=1)
         with pytest.raises(ValueError):
             SequenceFamily.polygonal(2)
-        with pytest.raises(ValueError):
-            SequenceFamily(FamilyKind.PADOVAN, initial=(1, 1))
+        for initial in ((1, 1), ()):
+            with pytest.raises(ValueError):
+                SequenceFamily(FamilyKind.PADOVAN, initial=initial)
         with pytest.raises(ValueError):
             SequenceFamily(FamilyKind.CUSTOM)
+
+    @pytest.mark.parametrize("kind", list(FamilyKind), ids=lambda k: k.value)
+    def test_stray_fields_rejected(self, kind):
+        spec = RecurrenceSpec(1, (2,), (1,))
+        given = {"s": 3, "t": 4, "rank": 5, "initial": (9, 9, 9), "spec": spec}
+        owners = {
+            "s": FamilyKind.GENERALIZED_FIBONACCI,
+            "t": FamilyKind.GENERALIZED_FIBONACCI,
+            "rank": FamilyKind.POLYGONAL,
+            "initial": FamilyKind.PADOVAN,
+            "spec": FamilyKind.CUSTOM,
+        }
+        taken = {name: v for name, v in given.items() if owners[name] is kind}
+        SequenceFamily(kind, **taken)
+        for name, owner in owners.items():
+            if owner is not kind:
+                with pytest.raises(ValueError, match=f"'{name}' applies only"):
+                    SequenceFamily(kind, **taken, **{name: given[name]})
+
+    def test_padovan_default_applied_once(self):
+        default = SequenceFamily(FamilyKind.PADOVAN)
+        assert default.initial == (1, 1, 1)
+        assert default == SequenceFamily.padovan() == SequenceFamily.padovan((1, 1, 1))
+        assert preset(default).initial_terms == (1, 1, 1)
+        assert SequenceFamily.padovan([1, 0, 0]).initial == (1, 0, 0)
+
+    def test_label_is_not_part_of_the_recurrence(self):
+        fib = preset(SequenceFamily.fibonacci())
+        same = RecurrenceSpec(2, (1, 1), (0, 1), "U")
+        assert same == fib and hash(same) == hash(fib)
 
     def test_labels(self):
         assert SequenceFamily.fibonacci().label == "fibonacci"

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from seqarea.sequences import SequenceFamily, UnsupportedFamilyError
+from seqarea.sequences import SequenceFamily, UnsupportedFamilyError, _small_table
 from seqarea.verify import (
     MAX_SEQUENCE_INDEX,
     PUBLISHED_POLYGONAL_COEFFS,
@@ -116,6 +116,14 @@ class TestVerifyFamily:
         report = verify_family(family, range(0, 13), range(1, 9), range(3, 11))
         assert report.fail_count == 0
         assert report.pass_count == 13 * 8 * 8
+
+
+def test_closed_form_shares_the_term_tables():
+    # The closed form's U of (1, 1) is the fibonacci recurrence: one table.
+    _small_table.cache_clear()
+    for family in (SequenceFamily.fibonacci(), SequenceFamily.lucas()):
+        assert verify_family(family, range(0, 3), range(1, 3), range(3, 5)).fail_count == 0
+    assert _small_table.cache_info().currsize == 2
 
 
 class TestVerifyCollinearity:
