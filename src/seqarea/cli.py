@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -371,7 +372,13 @@ def _family_options() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use.
+
+    Every ``main`` call reuses it: ``parse_args`` returns a fresh namespace
+    and leaves the parser as it found it, and every default is immutable.
+    """
     parser = argparse.ArgumentParser(
         prog="seqarea",
         description="Exact areas of polygons with integer-sequence vertices.",

@@ -98,8 +98,9 @@ class SequenceFamily:
             if self.s is None or self.t is None:
                 raise ValueError("generalized family requires s and t")
         elif self.kind is FamilyKind.POLYGONAL:
-            if self.rank is None or self.rank < 3:
+            if self.rank is None:
                 raise ValueError("polygonal family requires rank >= 3")
+            check_domain(rank=self.rank)
         elif self.kind is FamilyKind.PADOVAN:
             initial = DEFAULT_PADOVAN_INITIAL if self.initial is None else self.initial
             if len(initial) != 3:
@@ -306,6 +307,13 @@ def _small_table(spec: RecurrenceSpec) -> tuple[int, ...]:
     return tuple(_extend(spec, list(spec.initial_terms), MAX_SEQUENCE_INDEX + 1))
 
 
+def _check_window(start: int, count: int) -> None:
+    if start < 0:
+        raise ValueError(f"term index must be >= 0, got {start}")
+    if count < 0:
+        raise ValueError(f"term count must be >= 0, got {count}")
+
+
 def terms(spec: RecurrenceSpec, start: int, count: int) -> list[int]:
     """Exact f(start) .. f(start+count-1) of a recurrence.
 
@@ -313,10 +321,7 @@ def terms(spec: RecurrenceSpec, start: int, count: int) -> list[int]:
     engine jumps to ``start`` by companion-matrix powering and iterates
     forward, so memory holds only the window, never the prefix before it.
     """
-    if start < 0:
-        raise ValueError(f"term index must be >= 0, got {start}")
-    if count < 0:
-        raise ValueError(f"term count must be >= 0, got {count}")
+    _check_window(start, count)
     if start + count <= MAX_SEQUENCE_INDEX + 1:
         return list(_small_table(spec)[start : start + count])
     return _extend(spec, _jump(spec, start), count)[:count]
@@ -335,9 +340,13 @@ def polygonal_number(rank: int, n: int) -> int:
     check_domain(rank=rank)
     if n < 0:
         raise ValueError(f"polygonal index must be >= 0, got {n}")
-    twice = n * (n * (rank - 2) - (rank - 4))
-    assert twice % 2 == 0
-    return twice // 2
+    return _figurate(rank, n, 1)[0]
+
+
+def _figurate(rank: int, start: int, count: int) -> list[int]:
+    """Figurate numbers start .. start+count-1 of a rank already checked."""
+    a, b = rank - 2, rank - 4
+    return [n * (n * a - b) // 2 for n in range(start, start + count)]
 
 
 def family_term(family: SequenceFamily, n: int) -> int:
@@ -347,9 +356,10 @@ def family_term(family: SequenceFamily, n: int) -> int:
 
 def family_terms(family: SequenceFamily, start: int, count: int) -> list[int]:
     """Terms start .. start+count-1 of any family, from one engine call."""
+    _check_window(start, count)
     if family.kind is FamilyKind.POLYGONAL:
         assert family.rank is not None
-        return [polygonal_number(family.rank, n) for n in range(start, start + count)]
+        return _figurate(family.rank, start, count)
     return terms(preset(family), start, count)
 
 

@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -488,7 +489,7 @@ REFUSALS = [
      "family 'generalized' requires --s and --t"),
     (["gen", "polygonal", "--count", "3"], "family 'polygonal' requires --rank"),
     (["gen", "polygonal", "--rank", "2", "--count", "3"],
-     "polygonal family requires rank >= 3"),
+     "polygonal rank must be >= 3, got 2"),
     (["gen", "fibonacci", "--s", "1", "--count", "3"],
      "parameter 's' applies only to family 'generalized'"),
     (["area", "pell", "--t", "1", "--n", "1", "--k", "1", "--m", "3"],
@@ -517,3 +518,96 @@ REFUSALS = [
 def test_refusal_line(capsys, argv, line):
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (2, "", f"error: {line}\n")
+
+
+# One parser serves every main() call in a process.  A corpus over every
+# subcommand, all three formats, an argparse error, a refusal and --help.
+REUSE_CORPUS = [
+    ["gen", "fibonacci", "--count", "12"],
+    ["gen", "padovan", "--initial-terms", "1,0,0", "--count", "8", "--format", "csv"],
+    ["gen", "polygonal", "--rank", "5", "--count", "6", "--format", "json"],
+    ["area", "pell", "--n", "3", "--k", "2", "--m", "5", "--method", "both"],
+    ["area", "polygonal", "--rank", "4", "--n", "1", "--k", "1", "--m", "4",
+     "--method", "closed", "--format", "json"],
+    ["verify", "lucas", "--n", "0..3", "--k", "1..2", "--m", "3..4"],
+    ["verify", "jacobsthal", "--n", "1..2", "--k", "1", "--m", "3..5", "--format", "csv"],
+    ["verify", "fibonacci", "--n", "a..b", "--k", "1", "--m", "3"],
+    ["table", "polygonal", "--m", "3..5", "--rank", "3..6", "--format", "json"],
+    ["table", "third-order", "--k-max", "4", "--padovan-initial", "2,1,1"],
+    ["table", "third-order", "--k-max", "3", "--format", "csv"],
+    ["gen", "polygonal", "--rank", "2", "--count", "3"],
+    ["--help"],
+]
+
+
+def _run_corpus(capsys, corpus):
+    return {tuple(argv): run(capsys, *argv) for argv in corpus}
+
+
+class TestParserReuse:
+    def test_built_once_and_not_on_import(self):
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import seqarea, seqarea.cli as cli; print(cli.build_parser.cache_info())"],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 0
+        assert "currsize=0" in result.stdout
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_corpus_is_order_independent(self, capsys, monkeypatch):
+        forward = _run_corpus(capsys, REUSE_CORPUS)
+        backward = _run_corpus(capsys, REUSE_CORPUS[::-1])
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        fresh = _run_corpus(capsys, REUSE_CORPUS)
+        assert forward == backward == fresh
+        codes = sorted(code for code, _, _ in forward.values())
+        assert codes == [0] * 11 + [2, 2]
+
+    @pytest.mark.parametrize("argv", [REUSE_CORPUS[5], REUSE_CORPUS[8]])
+    def test_corpus_matches_a_fresh_process(self, capsys, argv):
+        run(capsys, *REUSE_CORPUS[1])  # the in-process parser has served before
+        result = subprocess.run(
+            [sys.executable, "-m", "seqarea", *argv], capture_output=True, text=True
+        )
+        assert run(capsys, *argv) == (result.returncode, result.stdout, result.stderr)
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            (["gen", "padovan", "--initial-terms", "1,0,0", "--count", "6"],
+             ["gen", "padovan", "--count", "6"]),
+            (["table", "third-order", "--padovan-initial", "2,1,1"],
+             ["table", "third-order"]),
+        ],
+    )
+    def test_options_do_not_leak(self, capsys, monkeypatch, first, second):
+        with monkeypatch.context() as fresh:
+            fresh.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+            expected = run(capsys, *second)
+        run(capsys, *first)
+        assert run(capsys, *second) == expected
+
+    def test_out_does_not_leak(self, tmp_path, capsys):
+        argv = ["verify", "fibonacci", "--n", "1..2", "--k", "1", "--m", "3"]
+        code, out, _ = run(capsys, *argv, "--out", str(tmp_path / "a.md"))
+        assert (code, out) == (0, "")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out == (tmp_path / "a.md").read_text()
+
+    def test_threads_share_the_parser(self, tmp_path):
+        argv = ["verify", "pell", "--n", "0..4", "--k", "1..3", "--m", "3..5",
+                "--format", "csv"]
+        paths = [tmp_path / f"{i}.csv" for i in range(16)]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(cli.main, [*argv, "--out", str(p)]) for p in paths]
+                codes = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(previous)
+        assert codes == [0] * 16
+        texts = {p.read_text() for p in paths}
+        assert len(texts) == 1 and texts.pop().startswith("family,n,k,m,")

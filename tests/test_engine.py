@@ -105,6 +105,20 @@ class TestDifferential:
             terms(spec, 0, -1)
 
     @pytest.mark.parametrize(
+        "family", [SequenceFamily.fibonacci(), SequenceFamily.polygonal(3)],
+        ids=lambda f: f.label,
+    )
+    @pytest.mark.parametrize(
+        "start, count, message",
+        [(-1, 2, "term index must be >= 0, got -1"),
+         (0, -1, "term count must be >= 0, got -1")],
+    )
+    def test_family_window_checked_alike(self, family, start, count, message):
+        with pytest.raises(ValueError) as excinfo:
+            family_terms(family, start, count)
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize(
         "family",
         [
             SequenceFamily.fibonacci(),
