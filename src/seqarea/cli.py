@@ -21,6 +21,7 @@ import io
 import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
 from .closedforms import closed_area_for
@@ -161,46 +162,77 @@ def render_area(
     return rational_str(value) + "\n"
 
 
+def _csv_quote(text: str) -> str:
+    """``text`` as one CSV field, quoted exactly as :func:`_emit_records` quotes it."""
+    buf = io.StringIO()
+    # A lone empty field would be written as "": give the row a second field.
+    csv.writer(buf, lineterminator="\n").writerow([text, ""])
+    return buf.getvalue()[: -len(",\n")]
+
+
+_REPORT_QUOTE = {
+    "json": encode_basestring_ascii,
+    "csv": _csv_quote,
+    "markdown": lambda text: text,
+}
+
+
 def render_report(report: VerificationReport, fmt: str) -> str:
     """Serialize a report; wall-clock time is deliberately omitted so equal
-    inputs give byte-identical output."""
-    if fmt != "markdown":
-        payload = {
-            "grid": report.grid,
-            "cells": [
-                {
-                    "family": c.spec.family.label,
-                    "n": c.spec.n,
-                    "k": c.spec.k,
-                    "m": c.spec.m,
-                    "oracle": rational_str(c.oracle_area),
-                    "closed": rational_str(c.closed_area),
-                    "match": c.match,
-                    "note": c.note,
-                }
-                for c in report.cells
-            ],
-            "pass_count": report.pass_count,
-            "fail_count": report.fail_count,
-        }
-        return _emit_records(payload, fmt)
-    rows = [
-        [
-            str(c.spec.n),
-            str(c.spec.k),
-            str(c.spec.m),
-            rational_str(c.oracle_area),
-            rational_str(c.closed_area),
-            "MATCH" if c.match else "MISMATCH",
-            c.note,
-        ]
-        for c in report.cells
-    ]
-    table = _markdown_table(["n", "k", "m", "oracle", "closed", "match", "note"], rows)
+    inputs give byte-identical output.
+
+    Each cell's fields are rendered once and laid into one fixed row template
+    per format.  JSON and CSV bytes equal ``json.dumps(payload, indent=2)``
+    and :func:`_emit_records`'s ``csv.writer`` output for the cell dicts
+    ``{family, n, k, m, oracle, closed, match, note}``; strings that may need
+    escaping (the label and each distinct note) are escaped once each, and
+    ``rational_str`` output (digits, ``-`` and ``/``) needs none.
+    """
+    quote = _REPORT_QUOTE[fmt]
+    notes: dict[str, str] = {}
+    family = label = None
+    rows = []
+    for c in report.cells:
+        spec = c.spec
+        if spec.family is not family:
+            family = spec.family
+            label = quote(family.label)
+        note = notes.get(c.note)
+        if note is None:
+            note = notes[c.note] = quote(c.note)
+        oracle = rational_str(c.oracle_area)
+        # verify_family gives equal areas one shared Fraction.
+        closed = oracle if c.closed_area is c.oracle_area else rational_str(c.closed_area)
+        rows.append((label, spec.n, spec.k, spec.m, oracle, closed, c.match, note))
+    if fmt == "json":
+        cells = ",\n".join(
+            f'    {{\n      "family": {label},\n      "n": {n},\n      "k": {k},\n'
+            f'      "m": {m},\n      "oracle": "{oracle}",\n      "closed": "{closed}",\n'
+            f'      "match": {"true" if match else "false"},\n      "note": {note}\n    }}'
+            for label, n, k, m, oracle, closed, match, note in rows
+        )
+        cells = f"[\n{cells}\n  ]" if rows else "[]"
+        return (
+            f'{{\n  "grid": {encode_basestring_ascii(report.grid)},\n'
+            f'  "cells": {cells},\n'
+            f'  "pass_count": {report.pass_count},\n'
+            f'  "fail_count": {report.fail_count}\n}}\n'
+        )
+    if fmt == "csv":
+        return "family,n,k,m,oracle,closed,match,note\n" + "".join(
+            f"{label},{n},{k},{m},{oracle},{closed},{'true' if match else 'false'},{note}\n"
+            for label, n, k, m, oracle, closed, match, note in rows
+        )
     return (
         f"grid: {report.grid}\n"
         f"pass_count: {report.pass_count}\n"
-        f"fail_count: {report.fail_count}\n\n" + table + "\n"
+        f"fail_count: {report.fail_count}\n\n"
+        "| n | k | m | oracle | closed | match | note |\n"
+        "| --- | --- | --- | --- | --- | --- | --- |\n"
+    ) + "".join(
+        f"| {n} | {k} | {m} | {oracle} | {closed} | "
+        f"{'MATCH' if match else 'MISMATCH'} | {note} |\n"
+        for _, n, k, m, oracle, closed, match, note in rows
     )
 
 

@@ -83,11 +83,30 @@ def build_vertices(
             f"term slice from index {first} of length {len(seq)} does not "
             f"cover indices {spec.n}..{spec.max_index}"
         )
-    return Polygon(
-        tuple(
-            (seq[base + 2 * i * k], seq[base + (2 * i + 1) * k])
-            for i in range(spec.m)
-        )
+    return Polygon(tuple(zip(*vertex_columns(seq, base, k, spec.m))))
+
+
+def vertex_columns(
+    seq: Sequence[int], base: int, k: int, m: int
+) -> tuple[Sequence[int], Sequence[int]]:
+    """The x and y columns of the m-gon of stride k whose first vertex is
+    (seq[base], seq[base + k]): two strided slices of ``seq``, which must
+    reach index base + (2m-1)k."""
+    step = 2 * k
+    return seq[base : base + m * step : step], seq[base + k : base + k + m * step : step]
+
+
+def twice_shoelace(xs: Sequence[int], ys: Sequence[int]) -> int:
+    """Twice the signed surveyor's-formula area of the polygon whose vertex i
+    is (xs[i], ys[i]): the cyclic sum of x(i)*y(i+1) - x(i+1)*y(i).
+
+    Integers in, an integer out; positive for counterclockwise orientation.
+    """
+    return (
+        sum(map(operator.mul, xs, ys[1:]))
+        + xs[-1] * ys[0]
+        - sum(map(operator.mul, xs[1:], ys))
+        - xs[0] * ys[-1]
     )
 
 
@@ -96,13 +115,8 @@ def shoelace_signed(poly: Polygon) -> Fraction:
 
     Positive for counterclockwise orientation.
     """
-    total = 0
-    pts = poly.vertices
-    for i in range(len(pts)):
-        a = pts[i]
-        b = pts[(i + 1) % len(pts)]
-        total += a.x * b.y - b.x * a.y
-    return Fraction(total, 2)
+    xs, ys = zip(*poly.vertices)
+    return Fraction(twice_shoelace(xs, ys), 2)
 
 
 def shoelace_area(poly: Polygon) -> Fraction:

@@ -6,9 +6,12 @@ table with no published cells, a non-square pivot (a transposed table would
 not pass it) and each flag of the published tables.
 """
 
+import hashlib
+from fractions import Fraction
+
 import pytest
 
-from seqarea import cli, verify
+from seqarea import cli, closedforms, verify
 
 VERIFY_PELL_MARKDOWN = """\
 grid: family=pell n=0..1 k=1..2 m=3..4
@@ -329,8 +332,260 @@ published check: 8/10 cells match
 """
 
 
+VERIFY_GENERALIZED_JSON = """\
+{
+  "grid": "family=generalized(s=2,t=3) n=0..1 k=1..2 m=3..3",
+  "cells": [
+    {
+      "family": "generalized(s=2,t=3)",
+      "n": 0,
+      "k": 1,
+      "m": 3,
+      "oracle": "1/2",
+      "closed": "1/2",
+      "match": true,
+      "note": ""
+    },
+    {
+      "family": "generalized(s=2,t=3)",
+      "n": 0,
+      "k": 2,
+      "m": 3,
+      "oracle": "15/2",
+      "closed": "15/2",
+      "match": true,
+      "note": ""
+    },
+    {
+      "family": "generalized(s=2,t=3)",
+      "n": 1,
+      "k": 1,
+      "m": 3,
+      "oracle": "1/2",
+      "closed": "1/2",
+      "match": true,
+      "note": ""
+    },
+    {
+      "family": "generalized(s=2,t=3)",
+      "n": 1,
+      "k": 2,
+      "m": 3,
+      "oracle": "15/2",
+      "closed": "15/2",
+      "match": true,
+      "note": ""
+    }
+  ],
+  "pass_count": 4,
+  "fail_count": 0
+}
+"""
+
+VERIFY_GENERALIZED_CSV = """\
+family,n,k,m,oracle,closed,match,note
+"generalized(s=2,t=3)",0,1,3,1/2,1/2,true,
+"generalized(s=2,t=3)",0,2,3,15/2,15/2,true,
+"generalized(s=2,t=3)",1,1,3,1/2,1/2,true,
+"generalized(s=2,t=3)",1,2,3,15/2,15/2,true,
+"""
+
+VERIFY_JACOBSTHAL_JSON = """\
+{
+  "grid": "family=jacobsthal n=0..1 k=1..1 m=3..4",
+  "cells": [
+    {
+      "family": "jacobsthal",
+      "n": 0,
+      "k": 1,
+      "m": 3,
+      "oracle": "0",
+      "closed": "0",
+      "match": true,
+      "note": "collinear"
+    },
+    {
+      "family": "jacobsthal",
+      "n": 0,
+      "k": 1,
+      "m": 4,
+      "oracle": "0",
+      "closed": "0",
+      "match": true,
+      "note": "collinear"
+    },
+    {
+      "family": "jacobsthal",
+      "n": 1,
+      "k": 1,
+      "m": 3,
+      "oracle": "0",
+      "closed": "0",
+      "match": true,
+      "note": "collinear"
+    },
+    {
+      "family": "jacobsthal",
+      "n": 1,
+      "k": 1,
+      "m": 4,
+      "oracle": "0",
+      "closed": "0",
+      "match": true,
+      "note": "collinear"
+    }
+  ],
+  "pass_count": 4,
+  "fail_count": 0
+}
+"""
+
+VERIFY_JACOBSTHAL_CSV = """\
+family,n,k,m,oracle,closed,match,note
+jacobsthal,0,1,3,0,0,true,collinear
+jacobsthal,0,1,4,0,0,true,collinear
+jacobsthal,1,1,3,0,0,true,collinear
+jacobsthal,1,1,4,0,0,true,collinear
+"""
+
+# A Fibonacci grid under a broken closed form (``test_failing_grid_bytes``):
+# a 0 at (k, m) = (1, 3) on vertices that are not collinear, and an area
+# off by 1/2 at (2, 4).
+VERIFY_FAILING_MARKDOWN = """\
+grid: family=fibonacci n=0..1 k=1..2 m=3..4
+pass_count: 4
+fail_count: 4
+
+| n | k | m | oracle | closed | match | note |
+| --- | --- | --- | --- | --- | --- | --- |
+| 0 | 1 | 3 | 1/2 | 0 | MISMATCH | NOT COLLINEAR |
+| 0 | 1 | 4 | 5/2 | 5/2 | MATCH |  |
+| 0 | 2 | 3 | 15/2 | 15/2 | MATCH |  |
+| 0 | 2 | 4 | 135/2 | 68 | MISMATCH |  |
+| 1 | 1 | 3 | 1/2 | 0 | MISMATCH | NOT COLLINEAR |
+| 1 | 1 | 4 | 5/2 | 5/2 | MATCH |  |
+| 1 | 2 | 3 | 15/2 | 15/2 | MATCH |  |
+| 1 | 2 | 4 | 135/2 | 68 | MISMATCH |  |
+"""
+
+VERIFY_FAILING_JSON = """\
+{
+  "grid": "family=fibonacci n=0..1 k=1..2 m=3..4",
+  "cells": [
+    {
+      "family": "fibonacci",
+      "n": 0,
+      "k": 1,
+      "m": 3,
+      "oracle": "1/2",
+      "closed": "0",
+      "match": false,
+      "note": "NOT COLLINEAR"
+    },
+    {
+      "family": "fibonacci",
+      "n": 0,
+      "k": 1,
+      "m": 4,
+      "oracle": "5/2",
+      "closed": "5/2",
+      "match": true,
+      "note": ""
+    },
+    {
+      "family": "fibonacci",
+      "n": 0,
+      "k": 2,
+      "m": 3,
+      "oracle": "15/2",
+      "closed": "15/2",
+      "match": true,
+      "note": ""
+    },
+    {
+      "family": "fibonacci",
+      "n": 0,
+      "k": 2,
+      "m": 4,
+      "oracle": "135/2",
+      "closed": "68",
+      "match": false,
+      "note": ""
+    },
+    {
+      "family": "fibonacci",
+      "n": 1,
+      "k": 1,
+      "m": 3,
+      "oracle": "1/2",
+      "closed": "0",
+      "match": false,
+      "note": "NOT COLLINEAR"
+    },
+    {
+      "family": "fibonacci",
+      "n": 1,
+      "k": 1,
+      "m": 4,
+      "oracle": "5/2",
+      "closed": "5/2",
+      "match": true,
+      "note": ""
+    },
+    {
+      "family": "fibonacci",
+      "n": 1,
+      "k": 2,
+      "m": 3,
+      "oracle": "15/2",
+      "closed": "15/2",
+      "match": true,
+      "note": ""
+    },
+    {
+      "family": "fibonacci",
+      "n": 1,
+      "k": 2,
+      "m": 4,
+      "oracle": "135/2",
+      "closed": "68",
+      "match": false,
+      "note": ""
+    }
+  ],
+  "pass_count": 4,
+  "fail_count": 4
+}
+"""
+
+VERIFY_FAILING_CSV = """\
+family,n,k,m,oracle,closed,match,note
+fibonacci,0,1,3,1/2,0,false,NOT COLLINEAR
+fibonacci,0,1,4,5/2,5/2,true,
+fibonacci,0,2,3,15/2,15/2,true,
+fibonacci,0,2,4,135/2,68,false,
+fibonacci,1,1,3,1/2,0,false,NOT COLLINEAR
+fibonacci,1,1,4,5/2,5/2,true,
+fibonacci,1,2,3,15/2,15/2,true,
+fibonacci,1,2,4,135/2,68,false,
+"""
+
+# SHA-256 and length of the 3,360-cell Fibonacci grid at the index guardrail.
+GUARDRAIL_DIGESTS = {
+    "markdown": (288664, "f2f940821b2def4fedf692c68aab7ad9ee5f56e51e1aba65db6f241a44b6f624"),
+    "json": (728769, "c102fd737f297a74e6db10395d122e0e4f340cfdd4993860a111682eb40fd558"),
+    "csv": (265012, "0dd088dd85a537f01971f3ad205689c34434f8207ae36cb5fff2d68074b18d92"),
+}
+
+
 AREA = ("area", "generalized", "--s", "2", "--t", "5", "--n", "7", "--k", "3", "--m", "5")
 VERIFY = ("verify", "pell", "--n", "0..1", "--k", "1..2", "--m", "3..4")
+VERIFY_GENERALIZED = (
+    "verify", "generalized", "--s", "2", "--t", "3", "--n", "0..1", "--k", "1..2", "--m", "3"
+)
+VERIFY_JACOBSTHAL = ("verify", "jacobsthal", "--n", "0..1", "--k", "1", "--m", "3..4")
+VERIFY_FAILING = ("verify", "fibonacci", "--n", "0..1", "--k", "1..2", "--m", "3..4")
+GUARDRAIL = ("verify", "fibonacci", "--n", "0..20", "--k", "1..20", "--m", "3..10")
 THIRD_ORDER = ("table", "third-order", "--k-max", "2", "--n", "0", "--padovan-initial", "1,0,0")
 
 GEN = ("gen", "lucas", "--count", "4")
@@ -366,6 +621,22 @@ CASES = [
     pytest.param(VERIFY, VERIFY_PELL_MARKDOWN, id="verify-markdown"),
     pytest.param(VERIFY + ("--format", "json"), VERIFY_PELL_JSON, id="verify-json"),
     pytest.param(VERIFY + ("--format", "csv"), VERIFY_PELL_CSV, id="verify-csv"),
+    pytest.param(
+        VERIFY_GENERALIZED + ("--format", "json"), VERIFY_GENERALIZED_JSON,
+        id="verify-quoted-label-json",
+    ),
+    pytest.param(
+        VERIFY_GENERALIZED + ("--format", "csv"), VERIFY_GENERALIZED_CSV,
+        id="verify-quoted-label-csv",
+    ),
+    pytest.param(
+        VERIFY_JACOBSTHAL + ("--format", "json"), VERIFY_JACOBSTHAL_JSON,
+        id="verify-collinear-json",
+    ),
+    pytest.param(
+        VERIFY_JACOBSTHAL + ("--format", "csv"), VERIFY_JACOBSTHAL_CSV,
+        id="verify-collinear-csv",
+    ),
     pytest.param(
         AREA + ("--method", "both", "--format", "json"), AREA_BOTH_JSON, id="area-both-json"
     ),
@@ -408,3 +679,31 @@ def test_polygonal_mismatch_lines(capsys, monkeypatch):
     monkeypatch.setattr(verify, "PUBLISHED_POLYGONAL_COEFFS", published)
     assert cli.main(list(POLYGONAL_NON_SQUARE)) == 0
     assert capsys.readouterr().out == POLYGONAL_MISMATCH_MARKDOWN
+
+
+@pytest.mark.parametrize(
+    "fmt, expected",
+    [
+        ("markdown", VERIFY_FAILING_MARKDOWN),
+        ("json", VERIFY_FAILING_JSON),
+        ("csv", VERIFY_FAILING_CSV),
+    ],
+)
+def test_failing_grid_bytes(capsys, monkeypatch, fmt, expected):
+    real = closedforms.mgon_area
+
+    def broken(family, k, m):
+        if (k, m) == (1, 3):
+            return Fraction(0)
+        return real(family, k, m) + (Fraction(1, 2) if (k, m) == (2, 4) else 0)
+
+    monkeypatch.setattr(closedforms, "mgon_area", broken)
+    assert cli.main([*VERIFY_FAILING, "--format", fmt]) == 1
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("fmt", sorted(GUARDRAIL_DIGESTS))
+def test_guardrail_grid_digest(capsys, fmt):
+    assert cli.main([*GUARDRAIL, "--format", fmt]) == 0
+    out = capsys.readouterr().out.encode()
+    assert (len(out), hashlib.sha256(out).hexdigest()) == GUARDRAIL_DIGESTS[fmt]
