@@ -71,19 +71,22 @@ def build_vertices(
     """Materialize the vertex pattern of a PolygonSpec as a Polygon.
 
     ``seq[i]`` is the family's term at index ``first + i``; a grid passes one
-    slice f(0) .. f(largest index) for all its cells.  Without ``seq``, the
-    one window f(n) .. f(max_index) the polygon touches is fetched.
+    slice f(0) .. f(largest index) for all its cells.  Without ``seq``, only
+    the 2m vertex terms f(n), f(n+k), .. f(max_index) are fetched, as one
+    strided window, never the terms between them.
     """
     if seq is None:
-        first = spec.n
-        seq = family_terms(spec.family, first, spec.max_index - first + 1)
-    base, k = spec.n - first, spec.k
-    if base < 0 or len(seq) <= spec.max_index - first:
-        raise ValueError(
-            f"term slice from index {first} of length {len(seq)} does not "
-            f"cover indices {spec.n}..{spec.max_index}"
-        )
-    return Polygon(tuple(zip(*vertex_columns(seq, base, k, spec.m))))
+        vertex_terms = family_terms(spec.family, spec.n, 2 * spec.m, step=spec.k)
+        columns = vertex_columns(vertex_terms, 0, 1, spec.m)
+    else:
+        base = spec.n - first
+        if base < 0 or len(seq) <= spec.max_index - first:
+            raise ValueError(
+                f"term slice from index {first} of length {len(seq)} does not "
+                f"cover indices {spec.n}..{spec.max_index}"
+            )
+        columns = vertex_columns(seq, base, spec.k, spec.m)
+    return Polygon(tuple(zip(*columns)))
 
 
 def vertex_columns(
@@ -100,13 +103,12 @@ def twice_shoelace(xs: Sequence[int], ys: Sequence[int]) -> int:
     """Twice the signed surveyor's-formula area of the polygon whose vertex i
     is (xs[i], ys[i]): the cyclic sum of x(i)*y(i+1) - x(i+1)*y(i).
 
+    Computed in difference form, the sum of x(i)*(y(i+1) - y(i-1)) with
+    indices mod m: the same integer from m big products instead of 2m.
     Integers in, an integer out; positive for counterclockwise orientation.
     """
-    return (
-        sum(map(operator.mul, xs, ys[1:]))
-        + xs[-1] * ys[0]
-        - sum(map(operator.mul, xs[1:], ys))
-        - xs[0] * ys[-1]
+    return sum(
+        map(operator.mul, xs, map(operator.sub, ys[1:] + ys[:1], ys[-1:] + ys[:-1]))
     )
 
 

@@ -1,16 +1,18 @@
 """Integer sequence engines: linear recurrences, figurate numbers, Binet forms.
 
 Every named family is generated two independent ways where possible: from
-its integer recurrence (:func:`terms`, which jumps to an index by
-companion-matrix powering and then iterates forward) and by exact evaluation
-of its closed Binet form in a quadratic field (:func:`binet_eval`).  The two
-routes are kept separate so each can serve as an oracle for the other.
+its integer recurrence (:func:`terms`, which jumps to an index by powering
+x modulo the characteristic polynomial, then iterates forward or strides)
+and by exact evaluation of its closed Binet form in a quadratic field
+(:func:`binet_eval`).  The two routes are kept separate so each can serve as
+an oracle for the other.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -267,34 +269,91 @@ def _extend(spec: RecurrenceSpec, window: list[int], count: int) -> list[int]:
     return window
 
 
-def _mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    columns = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in columns] for row in a]
+def _fold(coefficients: tuple[int, ...], poly: list[int]) -> list[int]:
+    """Reduce ``poly`` (low power first) modulo the characteristic polynomial
+    x^d - c1*x^(d-1) - ... - c_d, in place, to its d low coefficients.
+
+    Each high term h*x^e becomes h*x^(e-d) * (c1*x^(d-1) + ... + c_d): small
+    multipliers on one big coefficient, from the top power down.
+    """
+    d = len(coefficients)
+    for top in range(len(poly) - 1, d - 1, -1):
+        h = poly.pop()
+        if h:
+            for i, c in enumerate(coefficients, 1):
+                if c:
+                    poly[top - i] += c * h
+    return poly
+
+
+def _square(a: list[int]) -> list[int]:
+    """The square of a polynomial: d(d+1)/2 big products for d coefficients."""
+    out = [0] * (2 * len(a) - 1)
+    for i, x in enumerate(a):
+        out[2 * i] += x * x
+        for j in range(i + 1, len(a)):
+            out[i + j] += (x * a[j]) << 1
+    return out
+
+
+def _multiply(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _x_power(spec: RecurrenceSpec, e: int) -> list[int]:
+    """x**e modulo the characteristic polynomial, as its d coefficients
+    (low power first).
+
+    Built from the top bit of ``e`` down: each doubling is one polynomial
+    squaring and one fold, each set bit one shift-and-fold (Fiduccia, SIAM
+    J. Comput. 14 (1985) 106-112).  Every order works alike, c_d = 0
+    included: a power below the order is x**e itself.
+    """
+    coefficients = spec.coefficients
+    a = [1] + [0] * (spec.order - 1)
+    for bit in bin(e)[2:]:
+        a = _fold(coefficients, _square(a))
+        if bit == "1":
+            a = _fold(coefficients, [0, *a])
+    return a
 
 
 def _jump(spec: RecurrenceSpec, start: int) -> list[int]:
     """The ``order`` consecutive terms f(start) .. f(start+order-1).
 
-    The state (f(n), .., f(n+order-1)) advances by the companion matrix C,
-    so the state at ``start`` is C**start applied to the initial terms.  The
-    power is built from the top bit down: square, and on a set bit multiply
-    by C, which only shifts the rows up and forms one new last row.  That is
-    O(log start) big-integer matrix products, for every order; a start below
-    the order needs no special case, since C**start merely shifts.
+    With x**start = a_0 + a_1*x + ... modulo the characteristic polynomial,
+    f(start) = a_0*f(0) + a_1*f(1) + ...; each next term takes one
+    shift-and-fold of ``a``.  That is O(log start) polynomial squarings.
     """
-    order = spec.order
-    last_row = spec.coefficients[::-1]  # f(n+order) in terms of f(n) .. f(n+order-1)
-    power = [[int(i == j) for j in range(order)] for i in range(order)]
-    for bit in bin(start)[2:]:
-        power = _mat_mul(power, power)
-        if bit == "1":
-            new_row = [
-                sum(c * power[j][col] for j, c in enumerate(last_row))
-                for col in range(order)
-            ]
-            power = power[1:] + [new_row]
+    a = _x_power(spec, start)
     initial = spec.initial_terms
-    return [sum(p * v for p, v in zip(row, initial)) for row in power]
+    state = [sum(map(operator.mul, a, initial))]
+    while len(state) < spec.order:
+        a = _fold(spec.coefficients, [0, *a])
+        state.append(sum(map(operator.mul, a, initial)))
+    return state
+
+
+def _strided(spec: RecurrenceSpec, start: int, count: int, step: int) -> list[int]:
+    """f(start), f(start+step), .. (``count`` terms), with no term between.
+
+    x**step is taken once; each next term is a <- a * x**step (then a fold),
+    read off as a dotted with the initial terms.  Memory holds a few
+    polynomials, whatever the stride.
+    """
+    coefficients, initial = spec.coefficients, spec.initial_terms
+    a = _x_power(spec, start)
+    stride = _x_power(spec, step)
+    out = []
+    while len(out) < count:
+        if out:
+            a = _fold(coefficients, _multiply(a, stride))
+        out.append(sum(map(operator.mul, a, initial)))
+    return out
 
 
 @functools.lru_cache(maxsize=64)
@@ -307,23 +366,29 @@ def _small_table(spec: RecurrenceSpec) -> tuple[int, ...]:
     return tuple(_extend(spec, list(spec.initial_terms), MAX_SEQUENCE_INDEX + 1))
 
 
-def _check_window(start: int, count: int) -> None:
+def _check_window(start: int, count: int, step: int) -> None:
     if start < 0:
         raise ValueError(f"term index must be >= 0, got {start}")
     if count < 0:
         raise ValueError(f"term count must be >= 0, got {count}")
+    if step < 1:
+        raise ValueError(f"term step must be >= 1, got {step}")
 
 
-def terms(spec: RecurrenceSpec, start: int, count: int) -> list[int]:
-    """Exact f(start) .. f(start+count-1) of a recurrence.
+def terms(spec: RecurrenceSpec, start: int, count: int, step: int = 1) -> list[int]:
+    """Exact f(start), f(start+step), .. f(start+(count-1)*step) of a recurrence.
 
     Windows inside the small-index table are sliced from it.  Otherwise the
-    engine jumps to ``start`` by companion-matrix powering and iterates
-    forward, so memory holds only the window, never the prefix before it.
+    engine jumps to ``start`` by powering x modulo the characteristic
+    polynomial; with ``step`` 1 it iterates forward over the window, and with
+    a larger step it strides by x**step, fetching no term between two it
+    returns.  Memory holds only what is returned, never the prefix before it.
     """
-    _check_window(start, count)
-    if start + count <= MAX_SEQUENCE_INDEX + 1:
-        return list(_small_table(spec)[start : start + count])
+    _check_window(start, count, step)
+    if start + (count - 1) * step <= MAX_SEQUENCE_INDEX:
+        return list(_small_table(spec)[start : start + count * step : step])
+    if step > 1:
+        return _strided(spec, start, count, step)
     return _extend(spec, _jump(spec, start), count)[:count]
 
 
@@ -343,10 +408,11 @@ def polygonal_number(rank: int, n: int) -> int:
     return _figurate(rank, n, 1)[0]
 
 
-def _figurate(rank: int, start: int, count: int) -> list[int]:
-    """Figurate numbers start .. start+count-1 of a rank already checked."""
+def _figurate(rank: int, start: int, count: int, step: int = 1) -> list[int]:
+    """Figurate numbers start, start+step, .. (``count`` of them) of a rank
+    already checked."""
     a, b = rank - 2, rank - 4
-    return [n * (n * a - b) // 2 for n in range(start, start + count)]
+    return [n * (n * a - b) // 2 for n in range(start, start + count * step, step)]
 
 
 def family_term(family: SequenceFamily, n: int) -> int:
@@ -354,13 +420,16 @@ def family_term(family: SequenceFamily, n: int) -> int:
     return family_terms(family, n, 1)[0]
 
 
-def family_terms(family: SequenceFamily, start: int, count: int) -> list[int]:
-    """Terms start .. start+count-1 of any family, from one engine call."""
-    _check_window(start, count)
+def family_terms(
+    family: SequenceFamily, start: int, count: int, step: int = 1
+) -> list[int]:
+    """Terms start, start+step, .. (``count`` of them) of any family, from one
+    engine call."""
+    _check_window(start, count, step)
     if family.kind is FamilyKind.POLYGONAL:
         assert family.rank is not None
-        return _figurate(family.rank, start, count)
-    return terms(preset(family), start, count)
+        return _figurate(family.rank, start, count, step)
+    return terms(preset(family), start, count, step)
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,12 @@
 """The term engine against forward iteration, plus its memory and thread bounds.
 
 ``forward`` below is the oracle: plain iteration from the initial terms,
-independent of the engine's table, companion-matrix jump and windows.
+independent of the engine's table, polynomial jump, strides and windows.
 """
 
 from __future__ import annotations
 
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -58,10 +59,11 @@ def forward(spec: RecurrenceSpec, stop: int) -> list[int]:
 
 @st.composite
 def custom_specs(draw):
-    order = draw(st.integers(1, 4))
-    coefficients = draw(st.lists(st.integers(-3, 3), min_size=order, max_size=order))
+    order = draw(st.integers(1, 5))
+    leading = draw(st.lists(st.integers(-3, 3), min_size=order - 1, max_size=order - 1))
+    last = draw(st.one_of(st.just(0), st.integers(-3, 3)))  # c_d = 0 often
     initial = draw(st.lists(st.integers(-5, 5), min_size=order, max_size=order))
-    return RecurrenceSpec(order, tuple(coefficients), tuple(initial), "hypothesis")
+    return RecurrenceSpec(order, (*leading, last), tuple(initial), "hypothesis")
 
 
 class TestDifferential:
@@ -75,6 +77,20 @@ class TestDifferential:
         want = forward(spec, start + count)[start:]
         assert terms(spec, start, count) == want
         assert term(spec, start) == want[0]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        spec=custom_specs(),
+        start=st.one_of(st.integers(0, 5), st.integers(0, 1500)),
+        count=st.integers(0, 12),
+        step=st.integers(1, 60),
+    )
+    def test_strided_windows_match_forward_iteration(self, spec, start, count, step):
+        # Starts up to 1,500 with strides up to 60: windows inside the
+        # 400-index table, across its edge and wholly past it.
+        want = forward(spec, start + max(count - 1, 0) * step + 1)[start::step][:count]
+        assert terms(spec, start, count, step) == want
+        assert family_terms(SequenceFamily.custom(spec), start, count, step) == want
 
     @settings(max_examples=40, deadline=None)
     @given(spec=custom_specs(), start=st.integers(0, 3))
@@ -96,6 +112,28 @@ class TestDifferential:
         assert family_terms(SequenceFamily.polygonal(7), 398, 5) == [
             polygonal_number(7, n) for n in range(398, 403)
         ]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rank=st.integers(3, 12),
+        start=st.integers(0, 5000),
+        count=st.integers(0, 12),
+        step=st.integers(1, 3000),
+    )
+    def test_polygonal_strides_its_closed_form(self, rank, start, count, step):
+        assert family_terms(SequenceFamily.polygonal(rank), start, count, step) == [
+            polygonal_number(rank, start + i * step) for i in range(count)
+        ]
+
+    @pytest.mark.parametrize(
+        "family", [SequenceFamily.pell(), SequenceFamily.polygonal(5)],
+        ids=lambda f: f.label,
+    )
+    @pytest.mark.parametrize("step", [0, -3])
+    def test_step_below_one_refused(self, family, step):
+        with pytest.raises(ValueError) as excinfo:
+            family_terms(family, 500, 3, step)
+        assert str(excinfo.value) == f"term step must be >= 1, got {step}"
 
     def test_negative_arguments_rejected(self):
         spec = preset(SequenceFamily.fibonacci())
@@ -155,6 +193,32 @@ class TestBounds:
         # Nothing is kept between calls: no store grows with the index.
         assert after_first - baseline < 64 * 2**10
         assert after_second - after_first < 16 * 2**10
+
+    def test_large_stride_area_in_a_fresh_process(self):
+        # n = 0, k = 20000, m = 3 reaches index 100,000, the term budget: the
+        # six vertex terms alone are fetched, not the 100,001-term window.
+        # A process's ru_maxrss also counts the image it was forked from, so
+        # a small launcher starts `python -m seqarea` and reports the peak of
+        # that one child, not of this test run.
+        launcher = (
+            "import resource, subprocess, sys\n"
+            "argv = [sys.executable, '-m', 'seqarea', *sys.argv[1:]]\n"
+            "result = subprocess.run(argv, capture_output=True, text=True)\n"
+            "sys.stdout.write(result.stdout)\n"
+            "sys.stderr.write(result.stderr)\n"
+            "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss, file=sys.stderr)\n"
+            "sys.exit(result.returncode)\n"
+        )
+        argv = ["area", "pell", "--n", "0", "--k", "20000", "--m", "3", "--method", "both"]
+        result = subprocess.run(
+            [sys.executable, "-c", launcher, *argv], capture_output=True, text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.endswith("\nMATCH\n")
+        # ru_maxrss is in bytes on macOS and in kilobytes elsewhere.
+        unit = 1 if sys.platform == "darwin" else 1024
+        assert int(result.stderr.split()[-1]) * unit < 64 * 2**20
 
     def test_concurrent_calls_agree(self):
         specs = [preset(f) for f in PRESET_FAMILIES]

@@ -577,6 +577,46 @@ GUARDRAIL_DIGESTS = {
     "csv": (265012, "0dd088dd85a537f01971f3ad205689c34434f8207ae36cb5fff2d68074b18d92"),
 }
 
+# SHA-256 and length of `area` output at large n, where the term engine
+# jumps and strides and the kernel multiplies terms of tens of thousands of
+# bits.
+LARGE_N_DIGESTS = [
+    pytest.param(
+        ("area", "pell", "--n", "27549", "--k", "18", "--m", "10", "--method", "both",
+         "--format", "json"),
+        (388, "19fae1ebdd98544f9a33eabf2e3eb89a27e788801d6d38abb43615ac06b21ff7"),
+        id="pell-both-json",
+    ),
+    pytest.param(
+        ("area", "tribonacci", "--n", "21182", "--k", "5", "--m", "4", "--method", "oracle",
+         "--format", "markdown"),
+        (2812, "2f4e0cf65a1efc11c22383e0c46aa00db8d2a268d9b989f40ba935a83cf7b42b"),
+        id="tribonacci-oracle-markdown",
+    ),
+    pytest.param(
+        ("area", "perrin", "--n", "31668", "--k", "3", "--m", "3", "--format", "csv"),
+        (1989, "759ea429883299ce87955ff8b9504c3d0401e8d8623306b4169cf7f19bc7c3cf"),
+        id="perrin-oracle-csv",
+    ),
+    pytest.param(
+        ("area", "padovan", "--initial-terms", "2,-1,3", "--n", "40000", "--k", "7",
+         "--m", "5"),
+        (2451, "a088562845b5847aeb61f7fa72457312ed972cf52f0a3b1b9e593d498348f77f"),
+        id="padovan-oracle-markdown",
+    ),
+    pytest.param(
+        ("area", "generalized", "--s", "3", "--t", "-2", "--n", "39000", "--k", "300",
+         "--m", "6", "--method", "both"),
+        (1402, "72b13b58fdbbab0fe9e7cbe6a6585d12d3033ea9a9b1f9e81524b6804b6f19fc"),
+        id="generalized-both-markdown",
+    ),
+    pytest.param(
+        ("area", "pell", "--n", "0", "--k", "20000", "--m", "3", "--method", "both"),
+        (76578, "e538115ccc7cc6e06bfe4ada96885428028c12b067ebf17e7ca0b4ab5eef4b00"),
+        id="pell-large-stride-both-markdown",
+    ),
+]
+
 
 AREA = ("area", "generalized", "--s", "2", "--t", "5", "--n", "7", "--k", "3", "--m", "5")
 VERIFY = ("verify", "pell", "--n", "0..1", "--k", "1..2", "--m", "3..4")
@@ -707,3 +747,10 @@ def test_guardrail_grid_digest(capsys, fmt):
     assert cli.main([*GUARDRAIL, "--format", fmt]) == 0
     out = capsys.readouterr().out.encode()
     assert (len(out), hashlib.sha256(out).hexdigest()) == GUARDRAIL_DIGESTS[fmt]
+
+
+@pytest.mark.parametrize("argv, digest", LARGE_N_DIGESTS)
+def test_large_n_area_digest(capsys, argv, digest):
+    assert cli.main(list(argv)) == 0
+    out = capsys.readouterr().out.encode()
+    assert (len(out), hashlib.sha256(out).hexdigest()) == digest

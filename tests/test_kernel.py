@@ -1,11 +1,12 @@
 """The integer shoelace kernel on vertex columns against the Polygon route.
 
 ``cyclic_sum`` below is the reference: the cross-product loop written out
-over (x, y) pairs, independent of the kernel's shifted-column sums.
+over (x, y) pairs, independent of the kernel's difference form.
 """
 
 from __future__ import annotations
 
+import random
 from contextlib import nullcontext
 from fractions import Fraction
 from unittest import mock
@@ -108,6 +109,27 @@ def test_kernel_on_any_columns(xs, data):
     )
     assert twice_shoelace(xs, ys) == cyclic_sum(list(zip(xs, ys)))
     assert twice_shoelace(xs[::-1], ys[::-1]) == -twice_shoelace(xs, ys)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.integers(1, 12),
+    bits=st.integers(20_000, 40_000),
+    seed=st.integers(0, 2**32),
+)
+def test_kernel_on_wide_columns(m, bits, seed):
+    # Columns as wide as the terms `area` reaches near the index budget.
+    rng = random.Random(seed)
+
+    def value() -> int:
+        v = rng.getrandbits(bits) | 1 << (bits - 1)
+        return -v if rng.random() < 0.5 else v
+
+    xs = [value() for _ in range(m)]
+    ys = [value() for _ in range(m)]
+    want = cyclic_sum(list(zip(xs, ys)))
+    assert twice_shoelace(xs, ys) == want
+    assert twice_shoelace(tuple(xs), tuple(ys)) == want  # shoelace_signed's columns
 
 
 def _zero(family, k, m):
