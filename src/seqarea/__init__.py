@@ -27,7 +27,6 @@ from .geometry import (
     collinear,
     shoelace_area,
     shoelace_signed,
-    triangle_area_det,
 )
 from .numerics import (
     IrrationalResidueError,
@@ -105,7 +104,6 @@ __all__ = [
     "term",
     "terms",
     "third_order_table",
-    "triangle_area_det",
     "twice_signed_area",
     "verify_collinearity",
     "verify_family",

@@ -18,11 +18,11 @@ import argparse
 import csv
 import functools
 import io
-import json
 import sys
 from fractions import Fraction
+from itertools import islice
 from json.encoder import encode_basestring_ascii
-from typing import Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .closedforms import closed_area_for
 from .geometry import PolygonSpec, build_vertices, shoelace_area
@@ -32,6 +32,7 @@ from .verify import (
     PolygonalTable,
     ThirdOrderCell,
     ThirdOrderTable,
+    VerificationCell,
     VerificationReport,
     polygonal_table,
     rank_name,
@@ -76,42 +77,72 @@ def resolve_family(args: argparse.Namespace) -> SequenceFamily:
 
 # ---------------------------------------------------------------------------
 # Serialization
+#
+# A JSON or CSV renderer turns each value into a token once: a JSON string,
+# number, true/false or null, or a CSV field, quoted as ``csv.writer`` quotes
+# it or empty for None.  One writer per format lays the tokens out.
 
 
-def _csv_field(value: object) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return str(value).lower()
-    return str(value)
-
-
-def _emit_records(
-    payload: object,
-    fmt: str,
-    records: list[dict[str, object]] | None = None,
-    header: list[str] | None = None,
-) -> str:
-    """A result as JSON (``payload``) or as CSV with one row per record.
-
-    The records default to ``payload["cells"]`` and the header to the keys
-    of the first record.
-    """
-    if fmt == "json":
-        return json.dumps(payload, indent=2) + "\n"
-    if records is None:
-        records = payload["cells"]  # type: ignore[index]
-    if header is None:
-        header = list(records[0])
+@functools.lru_cache(maxsize=256)  # the same few notes and statuses, once per cell
+def _csv_quote(text: str) -> str:
+    """``text`` as one CSV field, quoted exactly as ``csv.writer`` quotes it."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows([_csv_field(r[key]) for key in header] for r in records)
-    return buf.getvalue()
+    # A lone empty field would be written as "": give the row a second field.
+    csv.writer(buf, lineterminator="\n").writerow([text, ""])
+    return buf.getvalue()[: -len(",\n")]
 
 
-def _optional_str(x: Fraction | None) -> str | None:
-    return None if x is None else rational_str(x)
+_FLAGS = ("false", "true")  # indexed by a bool
+
+# Per format, the token of any string, of a rational and of None;
+# ``rational_str`` output (digits, ``-`` and ``/``) needs no escaping.
+_TOKENS: dict[str, tuple[Callable[[str], str], Callable[[Fraction], str], str]] = {
+    "json": (encode_basestring_ascii, lambda x: f'"{rational_str(x)}"', "null"),
+    "csv": (_csv_quote, rational_str, ""),
+}
+
+
+def _write_json(value: dict[str, object] | list, header: Sequence[str] = ()) -> str:
+    """The bytes of ``json.dumps(payload, indent=2) + "\\n"``, where ``value``
+    holds the payload's tokens: an object (a dict of fields) or an array.
+
+    A field holds a token or an array.  An array holds tokens, or rows: tuples
+    of tokens for objects keyed by ``header``, laid out by one template.  Rows
+    sit only in a field of the top-level object.  The pieces are joined once.
+    """
+    row = "{\n" + ",\n".join(f'      "{key}": %s' for key in header) + "\n    }"
+    pieces: list[str] = []
+
+    def array(items: list, indent: str) -> None:
+        if not items:
+            pieces.append("[]")
+            return
+        item = indent + "  " + (row if isinstance(items[0], tuple) else "%s")
+        pieces.append("[\n" + item % items[0])
+        pieces.extend(map((",\n" + item).__mod__, islice(items, 1, None)))
+        pieces.append("\n" + indent + "]")
+
+    if isinstance(value, list):
+        array(value, "")
+    else:
+        sep = "{\n"
+        for key, field in value.items():
+            pieces.append(f'{sep}  "{key}": ')
+            if isinstance(field, list):
+                array(field, "  ")
+            else:
+                pieces.append(str(field))
+            sep = ",\n"
+        pieces.append("\n}")
+    pieces.append("\n")
+    return "".join(pieces)
+
+
+def _write_csv(header: Sequence[str], rows: Iterable[tuple]) -> str:
+    """The bytes of ``csv.writer(..., lineterminator="\\n")`` for ``header``
+    and then ``rows``, tuples of tokens."""
+    line = ",".join(["%s"] * len(header)) + "\n"
+    return "".join([",".join(header) + "\n", *map(line.__mod__, rows)])
 
 
 def _markdown_table(header: list[str], rows: list[list[str]]) -> str:
@@ -127,9 +158,8 @@ def render_gen(values: list[int], fmt: str) -> str:
     if fmt == "markdown":
         return "".join(f"{v}\n" for v in values)
     if fmt == "json":
-        return _emit_records([str(v) for v in values], fmt)
-    records = [{"n": i, "value": v} for i, v in enumerate(values)]
-    return _emit_records(None, fmt, records, ["n", "value"])
+        return _write_json([f'"{v}"' for v in values])
+    return _write_csv(("n", "value"), enumerate(values))
 
 
 def render_area(
@@ -141,15 +171,18 @@ def render_area(
 ) -> str:
     match = oracle == closed if method == "both" else None
     if fmt != "markdown":
-        where = {"family": spec.family.label, "n": spec.n, "k": spec.k, "m": spec.m}
+        text, rational, null = _TOKENS[fmt]
+        where = {"family": text(spec.family.label), "n": spec.n, "k": spec.k, "m": spec.m}
         found = {
-            "oracle": _optional_str(oracle),
-            "closed": _optional_str(closed),
-            "match": match,
+            "oracle": null if oracle is None else rational(oracle),
+            "closed": null if closed is None else rational(closed),
+            "match": null if match is None else _FLAGS[match],
         }
-        payload = {**where, "method": method}
-        payload.update((key, v) for key, v in found.items() if v is not None)
-        return _emit_records(payload, fmt, [{**where, **found}])
+        if fmt == "csv":
+            return _write_csv([*where, *found], [(*where.values(), *found.values())])
+        # JSON names the method and leaves out the values not computed.
+        found = {key: t for key, t in found.items() if t != null}
+        return _write_json({**where, "method": text(method), **found})
     if method == "both":
         assert oracle is not None and closed is not None
         verdict = "MATCH" if match else "MISMATCH"
@@ -162,97 +195,70 @@ def render_area(
     return rational_str(value) + "\n"
 
 
-def _csv_quote(text: str) -> str:
-    """``text`` as one CSV field, quoted exactly as :func:`_emit_records` quotes it."""
-    buf = io.StringIO()
-    # A lone empty field would be written as "": give the row a second field.
-    csv.writer(buf, lineterminator="\n").writerow([text, ""])
-    return buf.getvalue()[: -len(",\n")]
-
-
-_REPORT_QUOTE = {
-    "json": encode_basestring_ascii,
-    "csv": _csv_quote,
-    "markdown": lambda text: text,
-}
+def _cell_areas(
+    cells: Iterable[VerificationCell], spell: Callable[[Fraction], str]
+) -> Iterator[tuple[VerificationCell, str, str]]:
+    """Each cell with its oracle and closed areas spelled by ``spell``;
+    ``verify_family`` gives equal areas one shared Fraction, spelled once."""
+    for c in cells:
+        oracle = spell(c.oracle_area)
+        same = c.closed_area is c.oracle_area
+        yield c, oracle, oracle if same else spell(c.closed_area)
 
 
 def render_report(report: VerificationReport, fmt: str) -> str:
     """Serialize a report; wall-clock time is deliberately omitted so equal
-    inputs give byte-identical output.
-
-    Each cell's fields are rendered once and laid into one fixed row template
-    per format.  JSON and CSV bytes equal ``json.dumps(payload, indent=2)``
-    and :func:`_emit_records`'s ``csv.writer`` output for the cell dicts
-    ``{family, n, k, m, oracle, closed, match, note}``; strings that may need
-    escaping (the label and each distinct note) are escaped once each, and
-    ``rational_str`` output (digits, ``-`` and ``/``) needs none.
-    """
-    quote = _REPORT_QUOTE[fmt]
-    notes: dict[str, str] = {}
-    family = label = None
-    rows = []
-    for c in report.cells:
-        spec = c.spec
-        if spec.family is not family:
-            family = spec.family
-            label = quote(family.label)
-        note = notes.get(c.note)
-        if note is None:
-            note = notes[c.note] = quote(c.note)
-        oracle = rational_str(c.oracle_area)
-        # verify_family gives equal areas one shared Fraction.
-        closed = oracle if c.closed_area is c.oracle_area else rational_str(c.closed_area)
-        rows.append((label, spec.n, spec.k, spec.m, oracle, closed, c.match, note))
-    if fmt == "json":
-        cells = ",\n".join(
-            f'    {{\n      "family": {label},\n      "n": {n},\n      "k": {k},\n'
-            f'      "m": {m},\n      "oracle": "{oracle}",\n      "closed": "{closed}",\n'
-            f'      "match": {"true" if match else "false"},\n      "note": {note}\n    }}'
-            for label, n, k, m, oracle, closed, match, note in rows
-        )
-        cells = f"[\n{cells}\n  ]" if rows else "[]"
+    inputs give byte-identical output."""
+    if fmt == "markdown":
         return (
-            f'{{\n  "grid": {encode_basestring_ascii(report.grid)},\n'
-            f'  "cells": {cells},\n'
-            f'  "pass_count": {report.pass_count},\n'
-            f'  "fail_count": {report.fail_count}\n}}\n'
+            f"grid: {report.grid}\n"
+            f"pass_count: {report.pass_count}\n"
+            f"fail_count: {report.fail_count}\n\n"
+            "| n | k | m | oracle | closed | match | note |\n"
+            "| --- | --- | --- | --- | --- | --- | --- |\n"
+        ) + "".join(
+            f"| {c.n} | {c.k} | {c.m} | {oracle} | {closed} | "
+            f"{'MATCH' if c.match else 'MISMATCH'} | {c.note} |\n"
+            for c, oracle, closed in _cell_areas(report.cells, rational_str)
         )
+    text, rational, _ = _TOKENS[fmt]
+    label = text(report.family.label)
+    rows = [
+        (label, c.n, c.k, c.m, oracle, closed, _FLAGS[c.match], text(c.note))
+        for c, oracle, closed in _cell_areas(report.cells, rational)
+    ]
+    header = ("family", "n", "k", "m", "oracle", "closed", "match", "note")
     if fmt == "csv":
-        return "family,n,k,m,oracle,closed,match,note\n" + "".join(
-            f"{label},{n},{k},{m},{oracle},{closed},{'true' if match else 'false'},{note}\n"
-            for label, n, k, m, oracle, closed, match, note in rows
-        )
-    return (
-        f"grid: {report.grid}\n"
-        f"pass_count: {report.pass_count}\n"
-        f"fail_count: {report.fail_count}\n\n"
-        "| n | k | m | oracle | closed | match | note |\n"
-        "| --- | --- | --- | --- | --- | --- | --- |\n"
-    ) + "".join(
-        f"| {n} | {k} | {m} | {oracle} | {closed} | "
-        f"{'MATCH' if match else 'MISMATCH'} | {note} |\n"
-        for _, n, k, m, oracle, closed, match, note in rows
-    )
+        return _write_csv(header, rows)
+    fields = {
+        "grid": text(report.grid),
+        "cells": rows,
+        "pass_count": report.pass_count,
+        "fail_count": report.fail_count,
+    }
+    return _write_json(fields, header)
 
 
 def render_polygonal_table(table: PolygonalTable, fmt: str) -> str:
     if fmt != "markdown":
-        payload = {
+        null = _TOKENS[fmt][2]
+        header = ("m", "rank", "coefficient", "published", "match")
+        rows = [
+            (
+                c.m, c.rank, c.coefficient,
+                null if c.published is None else c.published,
+                null if c.match is None else _FLAGS[c.match],
+            )
+            for c in table.cells
+        ]
+        if fmt == "csv":
+            return _write_csv(header, rows)
+        fields = {
             "m_values": list(table.m_values),
             "ranks": list(table.ranks),
-            "cells": [
-                {
-                    "m": c.m,
-                    "rank": c.rank,
-                    "coefficient": c.coefficient,
-                    "published": c.published,
-                    "match": c.match,
-                }
-                for c in table.cells
-            ],
+            "cells": rows,
         }
-        return _emit_records(payload, fmt)
+        return _write_json(fields, header)
     header = ["m"] + [rank_name(r) for r in table.ranks]
     cells = iter(table.cells)  # stored m-major: one run of len(ranks) per m
     rows = [
@@ -281,22 +287,24 @@ def render_polygonal_table(table: PolygonalTable, fmt: str) -> str:
 
 def render_third_order_table(table: ThirdOrderTable, fmt: str) -> str:
     if fmt != "markdown":
-        payload = {
+        text, rational, null = _TOKENS[fmt]
+        header = ("column", "k", "computed", "published", "status")
+        rows = [
+            (
+                text(c.column), c.k, rational(c.computed),
+                null if c.published is None else rational(c.published), text(c.status),
+            )
+            for c in table.cells
+        ]
+        if fmt == "csv":
+            return _write_csv(header, rows)
+        fields = {
             "n": table.n,
             "k_max": table.k_max,
             "padovan_initial": list(table.padovan_initial),
-            "cells": [
-                {
-                    "column": c.column,
-                    "k": c.k,
-                    "computed": rational_str(c.computed),
-                    "published": _optional_str(c.published),
-                    "status": c.status,
-                }
-                for c in table.cells
-            ],
+            "cells": rows,
         }
-        return _emit_records(payload, fmt)
+        return _write_json(fields, header)
 
     def cell_text(c: ThirdOrderCell) -> str:
         text = rational_str(c.computed)

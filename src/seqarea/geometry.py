@@ -39,12 +39,6 @@ class Polygon:
         if len(self.vertices) < 3:
             raise ValueError("a polygon needs at least 3 vertices")
 
-    def translated(self, dx: int, dy: int) -> Polygon:
-        return Polygon(tuple(Point(p.x + dx, p.y + dy) for p in self.vertices))
-
-    def reversed(self) -> Polygon:
-        return Polygon(tuple(self.vertices[::-1]))
-
 
 @dataclass(frozen=True)
 class PolygonSpec:
@@ -65,28 +59,14 @@ class PolygonSpec:
         return reach(self.n, self.k, self.m)
 
 
-def build_vertices(
-    spec: PolygonSpec, seq: Sequence[int] | None = None, first: int = 0
-) -> Polygon:
+def build_vertices(spec: PolygonSpec) -> Polygon:
     """Materialize the vertex pattern of a PolygonSpec as a Polygon.
 
-    ``seq[i]`` is the family's term at index ``first + i``; a grid passes one
-    slice f(0) .. f(largest index) for all its cells.  Without ``seq``, only
-    the 2m vertex terms f(n), f(n+k), .. f(max_index) are fetched, as one
-    strided window, never the terms between them.
+    Only the 2m vertex terms f(n), f(n+k), .. f(max_index) are fetched, as
+    one strided window, never the terms between them.
     """
-    if seq is None:
-        vertex_terms = family_terms(spec.family, spec.n, 2 * spec.m, step=spec.k)
-        columns = vertex_columns(vertex_terms, 0, 1, spec.m)
-    else:
-        base = spec.n - first
-        if base < 0 or len(seq) <= spec.max_index - first:
-            raise ValueError(
-                f"term slice from index {first} of length {len(seq)} does not "
-                f"cover indices {spec.n}..{spec.max_index}"
-            )
-        columns = vertex_columns(seq, base, spec.k, spec.m)
-    return Polygon(tuple(zip(*columns)))
+    vertex_terms = family_terms(spec.family, spec.n, 2 * spec.m, step=spec.k)
+    return Polygon(tuple(zip(*vertex_columns(vertex_terms, 0, 1, spec.m))))
 
 
 def vertex_columns(
@@ -124,12 +104,6 @@ def shoelace_signed(poly: Polygon) -> Fraction:
 def shoelace_area(poly: Polygon) -> Fraction:
     """Absolute surveyor's-formula area."""
     return abs(shoelace_signed(poly))
-
-
-def triangle_area_det(p1: Point, p2: Point, p3: Point) -> Fraction:
-    """Triangle area as half the absolute edge-difference determinant."""
-    det = (p2.x - p1.x) * (p3.y - p1.y) - (p2.y - p1.y) * (p3.x - p1.x)
-    return Fraction(abs(det), 2)
 
 
 def collinear(points: Sequence[Point]) -> bool:

@@ -37,15 +37,11 @@ def _split_square(n: int) -> tuple[int, int]:
     return s, d
 
 
-def is_squarefree(d: int) -> bool:
-    """True if no square > 1 divides d (d >= 1)."""
-    return d >= 1 and _split_square(d)[0] == 1
-
-
 @functools.lru_cache(maxsize=64, typed=True)
 def _radicand_ok(d: int) -> bool:
-    """Whether d is a valid radicand; checked once per field, not per element."""
-    return isinstance(d, int) and d >= 2 and is_squarefree(d)
+    """Whether d is a valid radicand, an int >= 2 that no square > 1 divides;
+    checked once per field, not per element."""
+    return isinstance(d, int) and d >= 2 and _split_square(d)[0] == 1
 
 
 def rational_str(x: Fraction) -> str:

@@ -12,18 +12,11 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Iterable, Sequence
 
 from .closedforms import closed_area_for, polygonal_mgon_area
-from .geometry import (
-    Point,
-    PolygonSpec,
-    build_vertices,
-    collinear,
-    shoelace_area,
-    twice_shoelace,
-    vertex_columns,
-)
+from .geometry import Point, collinear, twice_shoelace, vertex_columns
 from .sequences import (
     MAX_SEQUENCE_INDEX,
     MAX_TABLE_CELLS,
@@ -40,9 +33,12 @@ from .sequences import (
 
 @dataclass(frozen=True)
 class VerificationCell:
-    """One grid point: parameters, both areas, and the exact-match verdict."""
+    """One grid point: the m-gon of stride k from index n, both areas, and
+    the exact-match verdict."""
 
-    spec: PolygonSpec
+    n: int
+    k: int
+    m: int
     oracle_area: Fraction
     closed_area: Fraction
     match: bool
@@ -51,12 +47,13 @@ class VerificationCell:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """All cells of one grid sweep, in deterministic order.
+    """All cells of one grid sweep over one family, in deterministic order.
 
     ``elapsed`` is wall-clock seconds for the sweep; serializers skip it so
     identical inputs yield byte-identical output.
     """
 
+    family: SequenceFamily
     grid: str
     cells: tuple[VerificationCell, ...]
     pass_count: int
@@ -72,8 +69,10 @@ def _as_range(values: Iterable[int], name: str) -> Sequence[int]:
     return out
 
 
-def _largest(values: Sequence[int]) -> int:
-    return max(values[0], values[-1]) if isinstance(values, range) else max(values)
+def _ends(values: Sequence[int]) -> tuple[int, int]:
+    """Smallest and largest value; a range is read at its two ends only."""
+    ends = (values[0], values[-1]) if isinstance(values, range) else values
+    return min(ends), max(ends)
 
 
 def verify_family(
@@ -100,7 +99,8 @@ def verify_family(
     ns = _as_range(n_range, "n")
     ks = _as_range(k_range, "k")
     ms = _as_range(m_range, "m")
-    worst = reach(_largest(ns), _largest(ks), _largest(ms))
+    (n_lo, n_hi), (k_lo, k_hi), (m_lo, m_hi) = map(_ends, (ns, ks, ms))
+    worst = reach(n_hi, k_hi, m_hi)
     if worst > MAX_SEQUENCE_INDEX:
         raise ValueError(
             f"grid reaches sequence index {worst}, beyond the "
@@ -108,14 +108,14 @@ def verify_family(
         )
     started = time.perf_counter()
     seq = family_terms(family, 0, worst + 1)
-    # Every cell's domain is checked before the first closed form is read.
-    specs = [PolygonSpec(family, n, k, m) for n in ns for k in ks for m in ms]
+    # Every cell's domain holds if the smallest n, k and m are in it; it is
+    # checked before the first closed form is read.
+    check_domain(n_lo, k_lo, m_lo)
     # The closed area does not depend on n: one evaluation per (k, m).
     closed_areas: dict[tuple[int, int], Fraction] = {}
     cells = []
-    for spec in specs:
-        k, m = spec.k, spec.m
-        xs, ys = vertex_columns(seq, spec.n, k, m)
+    for n, k, m in product(ns, ks, ms):
+        xs, ys = vertex_columns(seq, n, k, m)
         twice = abs(twice_shoelace(xs, ys))
         closed = closed_areas.get((k, m))
         if closed is None:
@@ -124,13 +124,14 @@ def verify_family(
         # An equal oracle shares the closed form's Fraction.
         oracle = closed if match else Fraction(twice, 2)
         if closed:
-            cells.append(VerificationCell(spec, oracle, closed, match))
+            cells.append(VerificationCell(n, k, m, oracle, closed, match))
             continue
         is_line = collinear(list(map(Point, xs, ys)))
         note = "collinear" if is_line else "NOT COLLINEAR"
-        cells.append(VerificationCell(spec, oracle, closed, is_line and match, note))
+        cells.append(VerificationCell(n, k, m, oracle, closed, is_line and match, note))
     passed = sum(c.match for c in cells)
     return VerificationReport(
+        family=family,
         grid=(
             f"family={family.label} n={ns[0]}..{ns[-1]} "
             f"k={ks[0]}..{ks[-1]} m={ms[0]}..{ms[-1]}"
@@ -338,8 +339,10 @@ def third_order_table(
     cells = []
     for k in range(1, k_max + 1):
         for column in THIRD_ORDER_COLUMNS:
-            spec = PolygonSpec(families[column], n, k, 3)
-            computed = shoelace_area(build_vertices(spec, slices[column], first=n))
+            # The triangle's vertex terms, read from the column's slice as a
+            # verify cell reads its grid's slice.
+            twice = twice_shoelace(*vertex_columns(slices[column], 0, k, 3))
+            computed = Fraction(abs(twice), 2)
             published = PUBLISHED_THIRD_ORDER[column].get(k) if n == 1 else None
             if column == "padovan":
                 status = STATUS_UNVERIFIED

@@ -154,7 +154,7 @@ def test_zero_area_cells_judged_by_collinear(case, n, k):
     with mock.patch.object(closedforms, "mgon_area", _zero) if patched else nullcontext():
         report = verify_family(family, [n], [k], range(3, 7))
     for cell in report.cells:
-        poly = build_vertices(cell.spec)
+        poly = build_vertices(PolygonSpec(family, cell.n, cell.k, cell.m))
         is_line = collinear(poly.vertices)
         assert cell.closed_area == 0
         assert cell.note == ("collinear" if is_line else "NOT COLLINEAR")

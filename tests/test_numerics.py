@@ -6,7 +6,6 @@ from seqarea.numerics import (
     IrrationalResidueError,
     QuadElem,
     RadicandMismatchError,
-    is_squarefree,
     rational_str,
 )
 from support import assert_canonical, field_axiom_violations, make_rng, nonzero_quadelem
@@ -118,8 +117,16 @@ class TestConstruction:
                 QuadElem(1, 1, d)
 
     def test_is_squarefree(self):
-        assert [d for d in range(1, 16) if is_squarefree(d)] == [
-            1, 2, 3, 5, 6, 7, 10, 11, 13, 14, 15,
+        # A radicand is accepted iff it is squarefree and at least 2.
+        def accepted(d):
+            try:
+                QuadElem(1, 1, d)
+            except ValueError:
+                return False
+            return True
+
+        assert [d for d in range(1, 16) if accepted(d)] == [
+            2, 3, 5, 6, 7, 10, 11, 13, 14, 15,
         ]
 
     def test_components_coerced_to_fraction(self):

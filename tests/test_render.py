@@ -1,8 +1,10 @@
-"""``cli.render_report`` against a reference writer kept here.
+"""Every ``cli.render_*`` JSON and CSV output against a reference writer kept here.
 
-``reference_report`` is the payload route: one dict per cell, then
-``json.dumps(payload, indent=2)``, a ``csv.writer`` row per dict, or a
-markdown row per cell.  The report writer must produce the same bytes.
+The reference is the payload route: one dict per record, then
+``json.dumps(payload, indent=2)`` or a ``csv.writer`` row per record, with
+None written as an empty field and booleans as ``true``/``false``.  The
+report's markdown is laid out here too.  The renderers' token writers must
+produce the same bytes.
 """
 
 from __future__ import annotations
@@ -16,14 +18,50 @@ from unittest import mock
 import pytest
 
 from seqarea import closedforms
-from seqarea.cli import render_report
-from seqarea.geometry import PolygonSpec
+from seqarea.cli import (
+    render_area,
+    render_gen,
+    render_polygonal_table,
+    render_report,
+    render_third_order_table,
+)
+from seqarea.geometry import PolygonSpec, build_vertices, shoelace_area
 from seqarea.numerics import rational_str
-from seqarea.sequences import RecurrenceSpec, SequenceFamily
-from seqarea.verify import VerificationCell, VerificationReport, verify_family
+from seqarea.sequences import RecurrenceSpec, SequenceFamily, family_terms
+from seqarea.verify import (
+    PolygonalTable,
+    ThirdOrderTable,
+    VerificationCell,
+    VerificationReport,
+    polygonal_table,
+    third_order_table,
+    verify_family,
+)
 
 # Every character a JSON or CSV writer must escape or quote, and non-ASCII.
 AWKWARD_LABEL = 'q "x", back\\slash\nnew line, Ümlaut ∑ 😀'
+
+
+def optional_str(x: Fraction | None) -> str | None:
+    return None if x is None else rational_str(x)
+
+
+def reference_json(payload: object) -> str:
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def reference_csv(header: list[str], records: list[dict]) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for r in records:
+        writer.writerow(
+            [
+                "" if v is None else str(v).lower() if isinstance(v, bool) else str(v)
+                for v in (r[key] for key in header)
+            ]
+        )
+    return buf.getvalue()
 
 
 def payload(report: VerificationReport) -> dict:
@@ -31,10 +69,10 @@ def payload(report: VerificationReport) -> dict:
         "grid": report.grid,
         "cells": [
             {
-                "family": c.spec.family.label,
-                "n": c.spec.n,
-                "k": c.spec.k,
-                "m": c.spec.m,
+                "family": report.family.label,
+                "n": c.n,
+                "k": c.k,
+                "m": c.m,
                 "oracle": rational_str(c.oracle_area),
                 "closed": rational_str(c.closed_area),
                 "match": c.match,
@@ -47,19 +85,14 @@ def payload(report: VerificationReport) -> dict:
     }
 
 
+REPORT_HEADER = ["family", "n", "k", "m", "oracle", "closed", "match", "note"]
+
+
 def reference_report(report: VerificationReport, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(payload(report), indent=2) + "\n"
+        return reference_json(payload(report))
     if fmt == "csv":
-        records = payload(report)["cells"]
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(list(records[0]))
-        for r in records:
-            writer.writerow(
-                [str(v).lower() if isinstance(v, bool) else str(v) for v in r.values()]
-            )
-        return buf.getvalue()
+        return reference_csv(REPORT_HEADER, payload(report)["cells"])
     lines = [
         f"grid: {report.grid}",
         f"pass_count: {report.pass_count}",
@@ -70,7 +103,7 @@ def reference_report(report: VerificationReport, fmt: str) -> str:
     ]
     for c in report.cells:
         row = [
-            str(c.spec.n), str(c.spec.k), str(c.spec.m),
+            str(c.n), str(c.k), str(c.m),
             rational_str(c.oracle_area), rational_str(c.closed_area),
             "MATCH" if c.match else "MISMATCH", c.note,
         ]
@@ -80,7 +113,8 @@ def reference_report(report: VerificationReport, fmt: str) -> str:
 
 def awkward(initial, coefficients=(1, 1)) -> SequenceFamily:
     """An order-2 custom family under the awkward label."""
-    return SequenceFamily.custom(RecurrenceSpec(2, coefficients, initial, AWKWARD_LABEL))
+    spec = RecurrenceSpec(2, coefficients, initial, AWKWARD_LABEL)
+    return SequenceFamily.custom(spec)
 
 
 def reports() -> list[VerificationReport]:
@@ -97,24 +131,23 @@ def reports() -> list[VerificationReport]:
 
     with mock.patch.object(closedforms, "mgon_area", broken):
         failing = verify_family(awkward((2, 5)), *grid)
-    # A report not made by verify_family: two families, equal areas held by
-    # distinct Fractions, a negative area and a note needing quotes.
-    fib = SequenceFamily.fibonacci()
-    mixed = VerificationReport(
-        grid='mixed "grid", by hand',
+    # A report not made by verify_family: equal areas held by distinct
+    # Fractions, a negative area and a note needing quotes.
+    by_hand = VerificationReport(
+        family=awkward((0, 1)),
+        grid='by "hand", one family',
         cells=(
-            VerificationCell(PolygonSpec(fib, 0, 1, 3), Fraction(1, 2), Fraction(2, 4), True),
+            VerificationCell(0, 1, 3, Fraction(1, 2), Fraction(2, 4), True),
             VerificationCell(
-                PolygonSpec(awkward((0, 1)), 4, 2, 5), Fraction(-7, 3), Fraction(7, 3),
-                False, 'odd, "note"',
+                4, 2, 5, Fraction(-7, 3), Fraction(7, 3), False, 'odd, "note"'
             ),
-            VerificationCell(PolygonSpec(fib, 1, 1, 3), Fraction(0), Fraction(0), True, ""),
+            VerificationCell(1, 1, 3, Fraction(0), Fraction(0), True, ""),
         ),
         pass_count=2,
         fail_count=1,
         elapsed=0.0,
     )
-    return [passing, collinear, failing, mixed]
+    return [passing, collinear, failing, by_hand]
 
 
 REPORTS = reports()
@@ -140,5 +173,106 @@ def test_json_round_trips(index):
 
 
 def test_empty_report_json():
-    empty = VerificationReport("g", (), 0, 0, 0.0)
+    empty = VerificationReport(SequenceFamily.fibonacci(), "g", (), 0, 0, 0.0)
     assert render_report(empty, "json") == reference_report(empty, "json")
+
+
+# -- gen, area and the two tables -------------------------------------------
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("count", [0, 1, 9])
+def test_gen_matches_reference_writer(fmt, count):
+    family = SequenceFamily.custom(RecurrenceSpec(2, (1, 1), (-3, 2)))
+    values = family_terms(family, 0, count)
+    if fmt == "json":
+        want = reference_json([str(v) for v in values])
+    else:
+        records = [{"n": i, "value": v} for i, v in enumerate(values)]
+        want = reference_csv(["n", "value"], records)
+    assert render_gen(values, fmt) == want
+
+
+def reference_area(spec, method, oracle, closed, fmt) -> str:
+    where = {"family": spec.family.label, "n": spec.n, "k": spec.k, "m": spec.m}
+    found = {
+        "oracle": optional_str(oracle),
+        "closed": optional_str(closed),
+        "match": oracle == closed if method == "both" else None,
+    }
+    if fmt == "csv":
+        return reference_csv(list(where) + list(found), [{**where, **found}])
+    present = {key: v for key, v in found.items() if v is not None}
+    return reference_json({**where, "method": method, **present})
+
+
+AREA_SPEC = PolygonSpec(awkward((2, 5)), 3, 2, 4)
+AREA_ORACLE = shoelace_area(build_vertices(AREA_SPEC))
+AREA_CLOSED = closedforms.mgon_area(AREA_SPEC.family, 2, 4)
+AREA_CASES = [
+    ("oracle", AREA_ORACLE, None),
+    ("closed", None, AREA_CLOSED),
+    ("both", AREA_ORACLE, AREA_CLOSED),
+    ("both", AREA_ORACLE, Fraction(-5, 2)),  # a mismatch
+]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("case", AREA_CASES, ids=lambda c: f"{c[0]}-{c[2]}")
+def test_area_matches_reference_writer(fmt, case):
+    method, oracle, closed = case
+    got = render_area(AREA_SPEC, method, oracle, closed, fmt)
+    assert got == reference_area(AREA_SPEC, method, oracle, closed, fmt)
+
+
+def reference_polygonal(table: PolygonalTable, fmt: str) -> str:
+    header = ["m", "rank", "coefficient", "published", "match"]
+    records = [{key: getattr(c, key) for key in header} for c in table.cells]
+    if fmt == "csv":
+        return reference_csv(header, records)
+    return reference_json(
+        {"m_values": list(table.m_values), "ranks": list(table.ranks), "cells": records}
+    )
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_polygonal_table_matches_reference_writer(fmt):
+    # m = 8 and rank 8 are past the published table: published and match None.
+    table = polygonal_table(range(6, 9), [4, 8])
+    assert {c.match for c in table.cells} == {True, None}
+    assert render_polygonal_table(table, fmt) == reference_polygonal(table, fmt)
+
+
+def reference_third_order(table: ThirdOrderTable, fmt: str) -> str:
+    header = ["column", "k", "computed", "published", "status"]
+    records = [
+        {
+            "column": c.column,
+            "k": c.k,
+            "computed": rational_str(c.computed),
+            "published": optional_str(c.published),
+            "status": c.status,
+        }
+        for c in table.cells
+    ]
+    if fmt == "csv":
+        return reference_csv(header, records)
+    return reference_json(
+        {
+            "n": table.n,
+            "k_max": table.k_max,
+            "padovan_initial": list(table.padovan_initial),
+            "cells": records,
+        }
+    )
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize(
+    "n, k_max, initial",
+    [(1, 7, None), (0, 3, (-3, 2, -1))],  # k = 7 and n = 0 have no published value
+)
+def test_third_order_table_matches_reference_writer(fmt, n, k_max, initial):
+    table = third_order_table(n, k_max, initial)
+    assert any(c.published is None for c in table.cells)
+    assert render_third_order_table(table, fmt) == reference_third_order(table, fmt)

@@ -42,7 +42,7 @@ class TestVerifyFamily:
         report = verify_family(
             SequenceFamily.fibonacci(), range(1, 3), range(1, 3), range(3, 5)
         )
-        order = [(c.spec.n, c.spec.k, c.spec.m) for c in report.cells]
+        order = [(c.n, c.k, c.m) for c in report.cells]
         assert order == sorted(order)
 
     def test_determinism(self):
