@@ -145,13 +145,12 @@ def _write_csv(header: Sequence[str], rows: Iterable[tuple]) -> str:
     return "".join([",".join(header) + "\n", *map(line.__mod__, rows)])
 
 
-def _markdown_table(header: list[str], rows: list[list[str]]) -> str:
-    lines = [
-        "| " + " | ".join(header) + " |",
-        "| " + " | ".join("---" for _ in header) + " |",
-    ]
-    lines.extend("| " + " | ".join(row) + " |" for row in rows)
-    return "\n".join(lines)
+def _write_markdown(header: Sequence[str], rows: Iterable[tuple]) -> str:
+    """A markdown table: ``header``, a ``---`` rule, then one line per row,
+    a tuple of values spelled by ``%s``."""
+    line = "| " + " | ".join(["%s"] * len(header)) + " |\n"
+    rule = line % (("---",) * len(header))
+    return "".join([line % tuple(header), rule, *map(line.__mod__, rows)])
 
 
 def render_gen(values: list[int], fmt: str) -> str:
@@ -210,17 +209,15 @@ def render_report(report: VerificationReport, fmt: str) -> str:
     """Serialize a report; wall-clock time is deliberately omitted so equal
     inputs give byte-identical output."""
     if fmt == "markdown":
+        rows = [
+            (c.n, c.k, c.m, oracle, closed, "MATCH" if c.match else "MISMATCH", c.note)
+            for c, oracle, closed in _cell_areas(report.cells, rational_str)
+        ]
         return (
             f"grid: {report.grid}\n"
             f"pass_count: {report.pass_count}\n"
             f"fail_count: {report.fail_count}\n\n"
-            "| n | k | m | oracle | closed | match | note |\n"
-            "| --- | --- | --- | --- | --- | --- | --- |\n"
-        ) + "".join(
-            f"| {c.n} | {c.k} | {c.m} | {oracle} | {closed} | "
-            f"{'MATCH' if c.match else 'MISMATCH'} | {c.note} |\n"
-            for c, oracle, closed in _cell_areas(report.cells, rational_str)
-        )
+        ) + _write_markdown(("n", "k", "m", "oracle", "closed", "match", "note"), rows)
     text, rational, _ = _TOKENS[fmt]
     label = text(report.family.label)
     rows = [
@@ -262,15 +259,14 @@ def render_polygonal_table(table: PolygonalTable, fmt: str) -> str:
     header = ["m"] + [rank_name(r) for r in table.ranks]
     cells = iter(table.cells)  # stored m-major: one run of len(ranks) per m
     rows = [
-        [str(m)] + [str(next(cells).coefficient) for _ in table.ranks]
+        (m, *(c.coefficient for c in islice(cells, len(table.ranks))))
         for m in table.m_values
     ]
     checked = [c for c in table.cells if c.match is not None]
     lines = [
         "Coefficient of k^4 in the m-gon area on polygonal-number vertices",
         "",
-        _markdown_table(header, rows),
-        "",
+        _write_markdown(header, rows),
     ]
     for c in table.mismatches:
         lines.append(
@@ -317,13 +313,13 @@ def render_third_order_table(table: ThirdOrderTable, fmt: str) -> str:
     initial = ",".join(str(v) for v in table.padovan_initial)
     # The cells are stored k-major, one run of three columns per k.
     texts = [cell_text(c) for c in table.cells]
-    rows = [[str(k)] + texts[3 * k - 3 : 3 * k] for k in range(1, table.k_max + 1)]
+    rows = [(k, *texts[3 * k - 3 : 3 * k]) for k in range(1, table.k_max + 1)]
     title = (
         f"Triangle areas on third-order sequence vertices, "
         f"n={table.n}, k=1..{table.k_max} (padovan initial {initial})"
     )
-    body = _markdown_table(["k", "Tribonacci", "Perrin", "Padovan"], rows)
-    return f"{title}\n\n{body}\n"
+    body = _write_markdown(("k", "Tribonacci", "Perrin", "Padovan"), rows)
+    return f"{title}\n\n{body}"
 
 
 # ---------------------------------------------------------------------------

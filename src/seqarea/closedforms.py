@@ -40,7 +40,7 @@ def _horadam(family: SequenceFamily) -> tuple[RecurrenceSpec, int, int]:
     if spec is None or spec.order != 2:
         raise UnsupportedFamilyError(f"no closed form for {family.label}")
     (p, c2), (w0, w1) = spec.coefficients, spec.initial_terms
-    u = RecurrenceSpec(2, (p, c2), (0, 1), "U")
+    u = RecurrenceSpec((p, c2), (0, 1), "U")
     return u, p * w0 * w1 - w1 * w1 + c2 * w0 * w0, -c2
 
 

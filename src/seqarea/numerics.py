@@ -139,15 +139,6 @@ class QuadElem:
         """The radicand."""
         return self._d
 
-    @classmethod
-    def from_rational(cls, value: int | Fraction, d: int) -> QuadElem:
-        return cls(value, 0, d)
-
-    @classmethod
-    def sqrt(cls, d: int) -> QuadElem:
-        """The element sqrt(d) itself, i.e. ``0 + 1*sqrt(d)``."""
-        return cls(0, 1, d)
-
     def _parts(self, other: object) -> tuple[int, int, int] | None:
         """(a, b, c) of ``other`` in this field, or None if it is no number."""
         if isinstance(other, QuadElem):

@@ -29,23 +29,26 @@ class RecurrenceSpec:
 
     ``coefficients`` are (c1, ..., c_order) in
     ``f(n) = c1*f(n-1) + ... + c_order*f(n-order)``; ``initial_terms`` give
-    f(0) .. f(order-1).
+    f(0) .. f(order-1).  A value that is not an integer raises ``TypeError``.
     """
 
-    order: int
     coefficients: tuple[int, ...]
     initial_terms: tuple[int, ...]
     label: str = field(default="", compare=False)  # a name, not part of the value
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coefficients", tuple(self.coefficients))
-        object.__setattr__(self, "initial_terms", tuple(self.initial_terms))
-        if self.order < 1:
-            raise ValueError(f"order must be >= 1, got {self.order}")
-        if len(self.coefficients) != self.order:
-            raise ValueError("coefficient list length must equal the order")
-        if len(self.initial_terms) != self.order:
+        coefficients = tuple(map(operator.index, self.coefficients))
+        initial_terms = tuple(map(operator.index, self.initial_terms))
+        if not coefficients:
+            raise ValueError("order must be >= 1, got 0")
+        if len(initial_terms) != len(coefficients):
             raise ValueError("initial term list length must equal the order")
+        object.__setattr__(self, "coefficients", coefficients)
+        object.__setattr__(self, "initial_terms", initial_terms)
+
+    @property
+    def order(self) -> int:
+        return len(self.coefficients)
 
 
 class FamilyKind(enum.Enum):
@@ -80,7 +83,8 @@ class SequenceFamily:
     The constructor validates the parameter set for the kind: a field the
     kind does not take must be None, ``generalized`` needs s and t,
     ``polygonal`` a rank >= 3, ``custom`` a spec, and ``padovan`` gets the
-    initial triple (1, 1, 1) unless given one.
+    initial triple (1, 1, 1) unless given one.  A non-integer s, t, rank or
+    initial term raises ``TypeError``.
     """
 
     kind: FamilyKind
@@ -99,6 +103,8 @@ class SequenceFamily:
         if self.kind is FamilyKind.GENERALIZED_FIBONACCI:
             if self.s is None or self.t is None:
                 raise ValueError("generalized family requires s and t")
+            object.__setattr__(self, "s", operator.index(self.s))
+            object.__setattr__(self, "t", operator.index(self.t))
         elif self.kind is FamilyKind.POLYGONAL:
             if self.rank is None:
                 raise ValueError("polygonal family requires rank >= 3")
@@ -107,7 +113,7 @@ class SequenceFamily:
             initial = DEFAULT_PADOVAN_INITIAL if self.initial is None else self.initial
             if len(initial) != 3:
                 raise ValueError("padovan initial terms must be a triple")
-            object.__setattr__(self, "initial", tuple(initial))
+            object.__setattr__(self, "initial", tuple(map(operator.index, initial)))
         elif self.kind is FamilyKind.CUSTOM:
             if self.spec is None:
                 raise ValueError("custom family requires a RecurrenceSpec")
@@ -177,14 +183,14 @@ class SequenceFamily:
 
 # The recurrences of the families that take no parameters, built once.
 _PRESETS: dict[FamilyKind, RecurrenceSpec] = {
-    FamilyKind.FIBONACCI: RecurrenceSpec(2, (1, 1), (0, 1), "fibonacci"),
-    FamilyKind.LUCAS: RecurrenceSpec(2, (1, 1), (2, 1), "lucas"),
-    FamilyKind.PELL: RecurrenceSpec(2, (2, 1), (0, 1), "pell"),
-    FamilyKind.PELL_LUCAS: RecurrenceSpec(2, (2, 1), (2, 2), "pell-lucas"),
-    FamilyKind.JACOBSTHAL: RecurrenceSpec(2, (1, 2), (0, 1), "jacobsthal"),
-    FamilyKind.JACOBSTHAL_LUCAS: RecurrenceSpec(2, (1, 2), (2, 1), "jacobsthal-lucas"),
-    FamilyKind.TRIBONACCI: RecurrenceSpec(3, (1, 1, 1), (0, 1, 1), "tribonacci"),
-    FamilyKind.PERRIN: RecurrenceSpec(3, (0, 1, 1), (3, 0, 2), "perrin"),
+    FamilyKind.FIBONACCI: RecurrenceSpec((1, 1), (0, 1), "fibonacci"),
+    FamilyKind.LUCAS: RecurrenceSpec((1, 1), (2, 1), "lucas"),
+    FamilyKind.PELL: RecurrenceSpec((2, 1), (0, 1), "pell"),
+    FamilyKind.PELL_LUCAS: RecurrenceSpec((2, 1), (2, 2), "pell-lucas"),
+    FamilyKind.JACOBSTHAL: RecurrenceSpec((1, 2), (0, 1), "jacobsthal"),
+    FamilyKind.JACOBSTHAL_LUCAS: RecurrenceSpec((1, 2), (2, 1), "jacobsthal-lucas"),
+    FamilyKind.TRIBONACCI: RecurrenceSpec((1, 1, 1), (0, 1, 1), "tribonacci"),
+    FamilyKind.PERRIN: RecurrenceSpec((0, 1, 1), (3, 0, 2), "perrin"),
 }
 
 
@@ -196,10 +202,10 @@ def preset(family: SequenceFamily) -> RecurrenceSpec:
         return spec
     if kind is FamilyKind.GENERALIZED_FIBONACCI:
         assert family.s is not None and family.t is not None
-        return RecurrenceSpec(2, (1, 1), (family.t - family.s, family.s), family.label)
+        return RecurrenceSpec((1, 1), (family.t - family.s, family.s), family.label)
     if kind is FamilyKind.PADOVAN:
         assert family.initial is not None
-        return RecurrenceSpec(3, (0, 1, 1), family.initial, family.label)
+        return RecurrenceSpec((0, 1, 1), family.initial, family.label)
     if kind is FamilyKind.CUSTOM:
         assert family.spec is not None
         return family.spec
@@ -214,14 +220,15 @@ def preset(family: SequenceFamily) -> RecurrenceSpec:
 
 def check_domain(n: int = 0, k: int = 1, m: int = 3, rank: int = 3) -> None:
     """Refuse a vertex pattern outside its domain: figurate rank >= 3 (checked
-    first), start index n >= 0, stride k >= 1 and vertex count m >= 3."""
-    if rank < 3:
+    first), start index n >= 0, stride k >= 1 and vertex count m >= 3.  A
+    value that is not an integer raises ``TypeError``."""
+    if operator.index(rank) < 3:
         raise ValueError(f"polygonal rank must be >= 3, got {rank}")
-    if n < 0:
+    if operator.index(n) < 0:
         raise ValueError(f"start index n must be >= 0, got {n}")
-    if k < 1:
+    if operator.index(k) < 1:
         raise ValueError(f"stride k must be >= 1, got {k}")
-    if m < 3:
+    if operator.index(m) < 3:
         raise ValueError(f"vertex count m must be >= 3, got {m}")
 
 
@@ -322,25 +329,11 @@ def _x_power(spec: RecurrenceSpec, e: int) -> list[int]:
     return a
 
 
-def _jump(spec: RecurrenceSpec, start: int) -> list[int]:
-    """The ``order`` consecutive terms f(start) .. f(start+order-1).
-
-    With x**start = a_0 + a_1*x + ... modulo the characteristic polynomial,
-    f(start) = a_0*f(0) + a_1*f(1) + ...; each next term takes one
-    shift-and-fold of ``a``.  That is O(log start) polynomial squarings.
-    """
-    a = _x_power(spec, start)
-    initial = spec.initial_terms
-    state = [sum(map(operator.mul, a, initial))]
-    while len(state) < spec.order:
-        a = _fold(spec.coefficients, [0, *a])
-        state.append(sum(map(operator.mul, a, initial)))
-    return state
-
-
 def _strided(spec: RecurrenceSpec, start: int, count: int, step: int) -> list[int]:
     """f(start), f(start+step), .. (``count`` terms), with no term between.
 
+    With x**start = a_0 + a_1*x + ... modulo the characteristic polynomial,
+    f(start) = a_0*f(0) + a_1*f(1) + ...: O(log start) polynomial squarings.
     x**step is taken once; each next term is a <- a * x**step (then a fold),
     read off as a dotted with the initial terms.  Memory holds a few
     polynomials, whatever the stride.
@@ -380,16 +373,17 @@ def terms(spec: RecurrenceSpec, start: int, count: int, step: int = 1) -> list[i
 
     Windows inside the small-index table are sliced from it.  Otherwise the
     engine jumps to ``start`` by powering x modulo the characteristic
-    polynomial; with ``step`` 1 it iterates forward over the window, and with
-    a larger step it strides by x**step, fetching no term between two it
-    returns.  Memory holds only what is returned, never the prefix before it.
+    polynomial and strides by x**step, fetching no term between two it
+    returns; with ``step`` 1 it strides only over the first ``order`` terms
+    and iterates forward from them.  Memory holds only what is returned,
+    never the prefix before it.
     """
     _check_window(start, count, step)
     if start + (count - 1) * step <= MAX_SEQUENCE_INDEX:
         return list(_small_table(spec)[start : start + count * step : step])
     if step > 1:
         return _strided(spec, start, count, step)
-    return _extend(spec, _jump(spec, start), count)[:count]
+    return _extend(spec, _strided(spec, start, min(count, spec.order), 1), count)
 
 
 def term(spec: RecurrenceSpec, n: int) -> int:

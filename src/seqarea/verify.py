@@ -236,12 +236,6 @@ class PolygonalTable:
     ranks: tuple[int, ...]
     cells: tuple[PolygonalTableCell, ...]
 
-    def cell(self, m: int, rank: int) -> PolygonalTableCell:
-        for c in self.cells:
-            if c.m == m and c.rank == rank:
-                return c
-        raise KeyError((m, rank))
-
     @property
     def mismatches(self) -> tuple[PolygonalTableCell, ...]:
         return tuple(c for c in self.cells if c.match is False)
@@ -295,15 +289,6 @@ class ThirdOrderTable:
     k_max: int
     padovan_initial: tuple[int, ...]
     cells: tuple[ThirdOrderCell, ...]
-
-    def cell(self, column: str, k: int) -> ThirdOrderCell:
-        for c in self.cells:
-            if c.column == column and c.k == k:
-                return c
-        raise KeyError((column, k))
-
-    def column(self, column: str) -> tuple[ThirdOrderCell, ...]:
-        return tuple(c for c in self.cells if c.column == column)
 
 
 def third_order_table(

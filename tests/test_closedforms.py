@@ -83,7 +83,7 @@ class TestClosedTriangleArea:
 
 def custom(p: int, q: int, w0: int, w1: int) -> SequenceFamily:
     """W(n) = p*W(n-1) - q*W(n-2) from W0, W1."""
-    return SequenceFamily.custom(RecurrenceSpec(2, (p, -q), (w0, w1), "W"))
+    return SequenceFamily.custom(RecurrenceSpec((p, -q), (w0, w1), "W"))
 
 
 class TestTwiceSignedArea:
@@ -130,7 +130,7 @@ class TestTwiceSignedArea:
         with pytest.raises(ValueError):
             twice_signed_area(fib, -1, 1, 3)
         for family in (SequenceFamily.polygonal(5), SequenceFamily.tribonacci(),
-                       SequenceFamily.custom(RecurrenceSpec(1, (2,), (1,)))):
+                       SequenceFamily.custom(RecurrenceSpec((2,), (1,)))):
             with pytest.raises(UnsupportedFamilyError, match="no closed form"):
                 twice_signed_area(family, 0, 1, 3)
 
@@ -300,7 +300,7 @@ class TestGeneralFormsAtScale:
     K_VALUES = (1, 2, 3, 17, 64, 99, 100, 199, 200)
     M_VALUES = (3, 4, 7, 16, 29, 30)
     N_VALUES = (0, 1, 2, 399, 400, 401, 999, 1000, 1999, 2000)
-    CUSTOM = SequenceFamily.custom(RecurrenceSpec(2, (3, 1), (0, 1), "3,1"))
+    CUSTOM = SequenceFamily.custom(RecurrenceSpec((3, 1), (0, 1), "3,1"))
 
     @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.label)
     def test_mgon_and_triangle_match_family_forms(self, family):

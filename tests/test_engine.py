@@ -12,7 +12,7 @@ import threading
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seqarea.geometry import PolygonSpec, build_vertices, shoelace_area
@@ -63,7 +63,29 @@ def custom_specs(draw):
     leading = draw(st.lists(st.integers(-3, 3), min_size=order - 1, max_size=order - 1))
     last = draw(st.one_of(st.just(0), st.integers(-3, 3)))  # c_d = 0 often
     initial = draw(st.lists(st.integers(-5, 5), min_size=order, max_size=order))
-    return RecurrenceSpec(order, (*leading, last), tuple(initial), "hypothesis")
+    return RecurrenceSpec((*leading, last), tuple(initial), "hypothesis")
+
+
+# Orders 1 to 5, two of them with c_d = 0, for the head of a window past
+# the table: the first min(count, order) terms are strided, the rest iterated.
+HEAD_SPECS = (
+    RecurrenceSpec((0,), (3,)),
+    RecurrenceSpec((-2,), (1,)),
+    RecurrenceSpec((1, 1), (0, 1)),
+    RecurrenceSpec((1, -2, 0), (1, 2, -3)),
+    RecurrenceSpec((1, 0, -1, 2), (1, -1, 2, 0)),
+    RecurrenceSpec((0, 1, 0, 1, -1), (2, 0, -1, 3, 1)),
+)
+
+
+def head_examples(test):
+    """Pin every spec of HEAD_SPECS at starts 401 and 5,000 and counts 0, 1,
+    order - 1, order and order + 1."""
+    for spec in HEAD_SPECS:
+        for start in (401, 5000):
+            for count in sorted({0, 1, spec.order - 1, spec.order, spec.order + 1}):
+                test = example(spec=spec, start=start, count=count)(test)
+    return test
 
 
 class TestDifferential:
@@ -73,9 +95,10 @@ class TestDifferential:
         start=st.one_of(st.integers(0, 4), st.integers(0, 5000)),
         count=st.integers(1, 40),
     )
+    @head_examples
     def test_custom_specs_match_forward_iteration(self, spec, start, count):
-        want = forward(spec, start + count)[start:]
-        assert terms(spec, start, count) == want
+        want = forward(spec, start + max(count, 1))[start:]
+        assert terms(spec, start, count) == want[:count]
         assert term(spec, start) == want[0]
 
     @settings(max_examples=150, deadline=None)

@@ -60,7 +60,7 @@ def custom_families(draw):
     last = draw(st.one_of(st.just(0), st.integers(-3, 3)))  # c_d = 0 often
     initial = draw(st.lists(st.integers(-5, 5), min_size=order, max_size=order))
     return SequenceFamily.custom(
-        RecurrenceSpec(order, (*leading, last), tuple(initial), "hypothesis")
+        RecurrenceSpec((*leading, last), tuple(initial), "hypothesis")
     )
 
 

@@ -11,7 +11,7 @@ from seqarea.numerics import (
 from support import assert_canonical, field_axiom_violations, make_rng, nonzero_quadelem
 
 PHI = QuadElem(Fraction(1, 2), Fraction(1, 2), 5)
-SQRT5 = QuadElem.sqrt(5)
+SQRT5 = QuadElem(0, 1, 5)
 SILVER = QuadElem(Fraction(1), Fraction(1), 2)  # 1 + sqrt(2)
 
 

@@ -159,7 +159,7 @@ class TestBehaviour:
                 with pytest.raises(ValueError):
                     QuadElem(1, 1, d)
                 with pytest.raises(ValueError):
-                    QuadElem.sqrt(d)
+                    QuadElem(0, 1, d)
 
     def test_non_integer_radicand_rejected(self):
         with pytest.raises(ValueError):
@@ -185,7 +185,7 @@ class TestIrrationalResidue:
     )
     def test_skewed_params_raise(self, family):
         params = binet_params(family)
-        root = QuadElem.sqrt(params.r.d)
+        root = QuadElem(0, 1, params.r.d)
         skewed = BinetParams(params.a * root, params.b, params.r)
         with pytest.raises(IrrationalResidueError):
             general_mgon_area(skewed, 3, 4)

@@ -113,7 +113,7 @@ def reference_report(report: VerificationReport, fmt: str) -> str:
 
 def awkward(initial, coefficients=(1, 1)) -> SequenceFamily:
     """An order-2 custom family under the awkward label."""
-    spec = RecurrenceSpec(2, coefficients, initial, AWKWARD_LABEL)
+    spec = RecurrenceSpec(coefficients, initial, AWKWARD_LABEL)
     return SequenceFamily.custom(spec)
 
 
@@ -183,7 +183,7 @@ def test_empty_report_json():
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 @pytest.mark.parametrize("count", [0, 1, 9])
 def test_gen_matches_reference_writer(fmt, count):
-    family = SequenceFamily.custom(RecurrenceSpec(2, (1, 1), (-3, 2)))
+    family = SequenceFamily.custom(RecurrenceSpec((1, 1), (-3, 2)))
     values = family_terms(family, 0, count)
     if fmt == "json":
         want = reference_json([str(v) for v in values])

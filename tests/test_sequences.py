@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from seqarea.closedforms import mgon_area, polygonal_mgon_area, twice_signed_area
 from seqarea.numerics import QuadElem
 from seqarea.sequences import (
     BinetParams,
@@ -15,6 +16,7 @@ from seqarea.sequences import (
     polygonal_number,
     preset,
     term,
+    terms,
 )
 
 BINET_FAMILIES = [
@@ -74,7 +76,7 @@ class TestPresets:
             preset(SequenceFamily.polygonal(3))
 
     def test_custom_roundtrip(self):
-        spec = RecurrenceSpec(2, (3, -1), (1, 4), "demo")
+        spec = RecurrenceSpec((3, -1), (1, 4), "demo")
         assert preset(SequenceFamily.custom(spec)) is spec
 
 
@@ -175,7 +177,7 @@ class TestBinetParams:
                 assert p.b == (s + (s - t) * r) * inv_sqrt5
 
     def test_custom_second_order_spec_gains_a_field_route(self):
-        spec = RecurrenceSpec(2, (3, 1), (0, 1), "3,1")
+        spec = RecurrenceSpec((3, 1), (0, 1), "3,1")
         p = binet_params(SequenceFamily.custom(spec))
         # x^2 - 3x - 1: r = (3 + sqrt(13))/2, a = b = 1/sqrt(13)
         assert p.r == QuadElem(Fraction(3, 2), Fraction(1, 2), 13)
@@ -185,7 +187,7 @@ class TestBinetParams:
     def test_custom_specs_match_recurrence(self, c1):
         # c1^2 + 4 = 5, 8, 13, 20, 29, 40: fields sqrt 5, 2, 13, 5, 29, 10
         for initial in ((0, 1), (2, c1), (-3, 7)):
-            spec = RecurrenceSpec(2, (c1, 1), initial, "c1")
+            spec = RecurrenceSpec((c1, 1), initial, "c1")
             p = binet_params(SequenceFamily.custom(spec))
             for n in range(61):
                 assert binet_eval(p, n) == term(spec, n), (c1, initial, n)
@@ -197,7 +199,7 @@ class TestBinetParams:
             ((3,), (1,)),
             ((1, 1, 1), (0, 1, 1)),
         ):
-            spec = RecurrenceSpec(len(coefficients), coefficients, initial, "x")
+            spec = RecurrenceSpec(coefficients, initial, "x")
             with pytest.raises(UnsupportedFamilyError):
                 binet_params(SequenceFamily.custom(spec))
 
@@ -261,12 +263,34 @@ class TestGeneralizedReductions:
 
 class TestValidation:
     def test_recurrence_spec_shape(self):
-        with pytest.raises(ValueError):
-            RecurrenceSpec(0, (), ())
-        with pytest.raises(ValueError):
-            RecurrenceSpec(2, (1,), (0, 1))
-        with pytest.raises(ValueError):
-            RecurrenceSpec(2, (1, 1), (0,))
+        with pytest.raises(ValueError, match="order must be >= 1, got 0"):
+            RecurrenceSpec((), ())
+        with pytest.raises(ValueError, match="initial term list length must equal"):
+            RecurrenceSpec((1, 1), (0,))
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: polygonal_mgon_area(3.5, 1, 3),
+            lambda: polygonal_mgon_area(3, 1.5, 3),
+            lambda: polygonal_mgon_area(3, 1, Fraction(3)),
+            lambda: twice_signed_area(SequenceFamily.pell(), 2.0, 1, 3),
+            lambda: polygonal_number(3.5, 4),
+            lambda: terms(RecurrenceSpec((1.5, 1), (0, 1)), 0, 5),
+            lambda: RecurrenceSpec((1, 1), (0, 1.0)),
+            lambda: mgon_area(SequenceFamily.generalized(1.5, 2), 1, 3),
+            lambda: SequenceFamily.generalized(1, Fraction(2)),
+            lambda: SequenceFamily.padovan((1, 1, 1.0)),
+            lambda: SequenceFamily.polygonal(5.0),
+        ],
+        ids=[
+            "rank", "k", "m", "n", "figurate-rank", "coefficient", "initial-term",
+            "s", "t", "padovan-initial", "family-rank",
+        ],
+    )
+    def test_non_integer_parameters_raise_type_error(self, call):
+        with pytest.raises(TypeError):
+            call()
 
     def test_family_parameter_checks(self):
         with pytest.raises(ValueError):
@@ -281,7 +305,7 @@ class TestValidation:
 
     @pytest.mark.parametrize("kind", list(FamilyKind), ids=lambda k: k.value)
     def test_stray_fields_rejected(self, kind):
-        spec = RecurrenceSpec(1, (2,), (1,))
+        spec = RecurrenceSpec((2,), (1,))
         given = {"s": 3, "t": 4, "rank": 5, "initial": (9, 9, 9), "spec": spec}
         owners = {
             "s": FamilyKind.GENERALIZED_FIBONACCI,
@@ -306,7 +330,7 @@ class TestValidation:
 
     def test_label_is_not_part_of_the_recurrence(self):
         fib = preset(SequenceFamily.fibonacci())
-        same = RecurrenceSpec(2, (1, 1), (0, 1), "U")
+        same = RecurrenceSpec((1, 1), (0, 1), "U")
         assert same == fib and hash(same) == hash(fib)
 
     def test_labels(self):

@@ -146,9 +146,8 @@ class TestVerifyCollinearity:
 class TestPolygonalTable:
     def test_triangle_row(self):
         table = polygonal_table(range(3, 8), range(3, 8))
-        assert [table.cell(3, r).coefficient for r in table.ranks] == [
-            4, 16, 36, 64, 100,
-        ]
+        coefficients = {(c.m, c.rank): c.coefficient for c in table.cells}
+        assert [coefficients[3, r] for r in table.ranks] == [4, 16, 36, 64, 100]
 
     def test_reference_cells_all_match(self):
         table = polygonal_table(range(3, 8), range(3, 8))
@@ -158,8 +157,9 @@ class TestPolygonalTable:
 
     def test_known_entries(self):
         table = polygonal_table(range(3, 8), range(3, 8))
-        assert table.cell(6, 5).coefficient == 720
-        assert table.cell(7, 3).coefficient == 140
+        coefficients = {(c.m, c.rank): c.coefficient for c in table.cells}
+        assert coefficients[6, 5] == 720
+        assert coefficients[7, 3] == 140
 
     def test_matches_embedded_reference(self):
         table = polygonal_table(range(3, 8), range(3, 8))
@@ -180,13 +180,13 @@ class TestPolygonalTable:
 class TestThirdOrderTable:
     def test_tribonacci_column_matches_reference(self):
         table = third_order_table(1, 6)
-        cells = table.column("tribonacci")
+        cells = [c for c in table.cells if c.column == "tribonacci"]
         assert [c.computed for c in cells] == [3, 64, 849, 23360, 509729, 10049160]
         assert all(c.status == STATUS_MATCH for c in cells)
 
     def test_perrin_column_flags_one_reference_typo(self):
         table = third_order_table(1, 6)
-        by_k = {c.k: c for c in table.column("perrin")}
+        by_k = {c.k: c for c in table.cells if c.column == "perrin"}
         assert by_k[1].computed == Fraction(9, 2)
         assert by_k[2].computed == Fraction(47, 2)
         assert by_k[4].computed == 149
@@ -195,17 +195,21 @@ class TestThirdOrderTable:
         assert by_k[3].computed == Fraction(31, 2)
         assert by_k[3].published == Fraction(31, 9)
         assert by_k[3].status == STATUS_MISMATCH
-        assert all(c.status == STATUS_MATCH for c in table.column("perrin") if c.k != 3)
+        assert all(c.status == STATUS_MATCH for k, c in by_k.items() if k != 3)
 
     def test_padovan_column_always_flagged(self):
         table = third_order_table(1, 6)
-        assert all(c.status == STATUS_UNVERIFIED for c in table.column("padovan"))
+        padovan = [c for c in table.cells if c.column == "padovan"]
+        assert len(padovan) == 6
+        assert all(c.status == STATUS_UNVERIFIED for c in padovan)
 
     def test_padovan_initial_is_configurable(self):
         default = third_order_table(1, 3)
         alt = third_order_table(1, 3, padovan_initial=(1, 0, 0))
-        assert default.cell("padovan", 2).computed != alt.cell("padovan", 2).computed
-        assert alt.cell("tribonacci", 2).computed == 64
+        default_cells = {(c.column, c.k): c for c in default.cells}
+        alt_cells = {(c.column, c.k): c for c in alt.cells}
+        assert default_cells["padovan", 2].computed != alt_cells["padovan", 2].computed
+        assert alt_cells["tribonacci", 2].computed == 64
 
     def test_no_reference_values_off_published_grid(self):
         table = third_order_table(2, 7)
@@ -214,7 +218,7 @@ class TestThirdOrderTable:
             c.status == "" for c in table.cells if c.column != "padovan"
         )
         longer = third_order_table(1, 7)
-        assert longer.cell("tribonacci", 7).published is None
+        assert {(c.column, c.k): c for c in longer.cells}["tribonacci", 7].published is None
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
