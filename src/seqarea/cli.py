@@ -206,8 +206,7 @@ def _cell_areas(
 
 
 def render_report(report: VerificationReport, fmt: str) -> str:
-    """Serialize a report; wall-clock time is deliberately omitted so equal
-    inputs give byte-identical output."""
+    """Serialize a report; equal reports give byte-identical output."""
     if fmt == "markdown":
         rows = [
             (c.n, c.k, c.m, oracle, closed, "MATCH" if c.match else "MISMATCH", c.note)

@@ -15,8 +15,8 @@ must agree with both the integer forms and the shoelace oracle.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .numerics import QuadElem
 from .sequences import (
@@ -89,8 +89,7 @@ def mgon_area(family: SequenceFamily, k: int, m: int) -> Fraction:
     return Fraction(abs(twice), 2)
 
 
-@dataclass(frozen=True)
-class ClosedFormResult:
+class ClosedFormResult(NamedTuple):
     """A closed-form triangle area."""
 
     area: Fraction

@@ -66,6 +66,18 @@ class FamilyKind(enum.Enum):
     CUSTOM = "custom"
 
 
+# The recurrences of the families that take no parameters, built once.
+_PRESETS: dict[FamilyKind, RecurrenceSpec] = {
+    FamilyKind.FIBONACCI: RecurrenceSpec((1, 1), (0, 1), "fibonacci"),
+    FamilyKind.LUCAS: RecurrenceSpec((1, 1), (2, 1), "lucas"),
+    FamilyKind.PELL: RecurrenceSpec((2, 1), (0, 1), "pell"),
+    FamilyKind.PELL_LUCAS: RecurrenceSpec((2, 1), (2, 2), "pell-lucas"),
+    FamilyKind.JACOBSTHAL: RecurrenceSpec((1, 2), (0, 1), "jacobsthal"),
+    FamilyKind.JACOBSTHAL_LUCAS: RecurrenceSpec((1, 2), (2, 1), "jacobsthal-lucas"),
+    FamilyKind.TRIBONACCI: RecurrenceSpec((1, 1, 1), (0, 1, 1), "tribonacci"),
+    FamilyKind.PERRIN: RecurrenceSpec((0, 1, 1), (3, 0, 2), "perrin"),
+}
+
 DEFAULT_PADOVAN_INITIAL = (1, 1, 1)
 
 # The one family kind that takes each parameter field; other kinds take none.
@@ -84,7 +96,8 @@ class SequenceFamily:
     kind does not take must be None, ``generalized`` needs s and t,
     ``polygonal`` a rank >= 3, ``custom`` a spec, and ``padovan`` gets the
     initial triple (1, 1, 1) unless given one.  A non-integer s, t, rank or
-    initial term raises ``TypeError``.
+    initial term raises ``TypeError``.  The family's recurrence (none for
+    ``polygonal``) is built once, here, and :func:`preset` returns it.
     """
 
     kind: FamilyKind
@@ -93,6 +106,7 @@ class SequenceFamily:
     rank: int | None = None
     initial: tuple[int, ...] | None = None
     spec: RecurrenceSpec | None = None
+    _recurrence: RecurrenceSpec | None = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         for name, owner in _FIELD_OWNERS.items():
@@ -100,11 +114,13 @@ class SequenceFamily:
                 raise ValueError(
                     f"parameter {name!r} applies only to family '{owner.value}'"
                 )
+        recurrence = _PRESETS.get(self.kind)  # None for polygonal
         if self.kind is FamilyKind.GENERALIZED_FIBONACCI:
             if self.s is None or self.t is None:
                 raise ValueError("generalized family requires s and t")
             object.__setattr__(self, "s", operator.index(self.s))
             object.__setattr__(self, "t", operator.index(self.t))
+            recurrence = RecurrenceSpec((1, 1), (self.t - self.s, self.s), self.label)
         elif self.kind is FamilyKind.POLYGONAL:
             if self.rank is None:
                 raise ValueError("polygonal family requires rank >= 3")
@@ -114,9 +130,12 @@ class SequenceFamily:
             if len(initial) != 3:
                 raise ValueError("padovan initial terms must be a triple")
             object.__setattr__(self, "initial", tuple(map(operator.index, initial)))
+            recurrence = RecurrenceSpec((0, 1, 1), self.initial, self.label)
         elif self.kind is FamilyKind.CUSTOM:
             if self.spec is None:
                 raise ValueError("custom family requires a RecurrenceSpec")
+            recurrence = self.spec
+        object.__setattr__(self, "_recurrence", recurrence)
 
     @classmethod
     def fibonacci(cls) -> SequenceFamily:
@@ -181,37 +200,13 @@ class SequenceFamily:
         return self.kind.value
 
 
-# The recurrences of the families that take no parameters, built once.
-_PRESETS: dict[FamilyKind, RecurrenceSpec] = {
-    FamilyKind.FIBONACCI: RecurrenceSpec((1, 1), (0, 1), "fibonacci"),
-    FamilyKind.LUCAS: RecurrenceSpec((1, 1), (2, 1), "lucas"),
-    FamilyKind.PELL: RecurrenceSpec((2, 1), (0, 1), "pell"),
-    FamilyKind.PELL_LUCAS: RecurrenceSpec((2, 1), (2, 2), "pell-lucas"),
-    FamilyKind.JACOBSTHAL: RecurrenceSpec((1, 2), (0, 1), "jacobsthal"),
-    FamilyKind.JACOBSTHAL_LUCAS: RecurrenceSpec((1, 2), (2, 1), "jacobsthal-lucas"),
-    FamilyKind.TRIBONACCI: RecurrenceSpec((1, 1, 1), (0, 1, 1), "tribonacci"),
-    FamilyKind.PERRIN: RecurrenceSpec((0, 1, 1), (3, 0, 2), "perrin"),
-}
-
-
 def preset(family: SequenceFamily) -> RecurrenceSpec:
     """The fixed recurrence behind a family (polygonal has none: closed form only)."""
-    kind = family.kind
-    spec = _PRESETS.get(kind)
-    if spec is not None:
-        return spec
-    if kind is FamilyKind.GENERALIZED_FIBONACCI:
-        assert family.s is not None and family.t is not None
-        return RecurrenceSpec((1, 1), (family.t - family.s, family.s), family.label)
-    if kind is FamilyKind.PADOVAN:
-        assert family.initial is not None
-        return RecurrenceSpec((0, 1, 1), family.initial, family.label)
-    if kind is FamilyKind.CUSTOM:
-        assert family.spec is not None
-        return family.spec
-    raise UnsupportedFamilyError(
-        f"{kind.value} terms come from a closed form, not a fixed recurrence"
-    )
+    if family._recurrence is None:
+        raise UnsupportedFamilyError(
+            f"{family.kind.value} terms come from a closed form, not a fixed recurrence"
+        )
+    return family._recurrence
 
 
 # Request rules: the vertex domain, its reach and the index budgets.  A rule
@@ -360,11 +355,13 @@ def _small_table(spec: RecurrenceSpec) -> tuple[int, ...]:
 
 
 def _check_window(start: int, count: int, step: int) -> None:
-    if start < 0:
+    """Refuse a negative start or count or a step below 1; a value that is
+    not an integer raises ``TypeError``."""
+    if operator.index(start) < 0:
         raise ValueError(f"term index must be >= 0, got {start}")
-    if count < 0:
+    if operator.index(count) < 0:
         raise ValueError(f"term count must be >= 0, got {count}")
-    if step < 1:
+    if operator.index(step) < 1:
         raise ValueError(f"term step must be >= 1, got {step}")
 
 
@@ -418,10 +415,10 @@ def family_terms(
     family: SequenceFamily, start: int, count: int, step: int = 1
 ) -> list[int]:
     """Terms start, start+step, .. (``count`` of them) of any family, from one
-    engine call."""
-    _check_window(start, count, step)
+    engine call; :func:`terms` checks a recurrence family's window."""
     if family.kind is FamilyKind.POLYGONAL:
         assert family.rank is not None
+        _check_window(start, count, step)
         return _figurate(family.rank, start, count, step)
     return terms(preset(family), start, count, step)
 

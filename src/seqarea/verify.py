@@ -9,11 +9,9 @@ instead of being silently corrected.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .closedforms import closed_area_for, polygonal_mgon_area
 from .geometry import Point, collinear, twice_shoelace, vertex_columns
@@ -31,8 +29,7 @@ from .sequences import (
 )
 
 
-@dataclass(frozen=True)
-class VerificationCell:
+class VerificationCell(NamedTuple):
     """One grid point: the m-gon of stride k from index n, both areas, and
     the exact-match verdict."""
 
@@ -45,20 +42,14 @@ class VerificationCell:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    """All cells of one grid sweep over one family, in deterministic order.
-
-    ``elapsed`` is wall-clock seconds for the sweep; serializers skip it so
-    identical inputs yield byte-identical output.
-    """
+class VerificationReport(NamedTuple):
+    """All cells of one grid sweep over one family, in deterministic order."""
 
     family: SequenceFamily
     grid: str
     cells: tuple[VerificationCell, ...]
     pass_count: int
     fail_count: int
-    elapsed: float
 
 
 def _as_range(values: Iterable[int], name: str) -> Sequence[int]:
@@ -106,7 +97,6 @@ def verify_family(
             f"grid reaches sequence index {worst}, beyond the "
             f"{MAX_SEQUENCE_INDEX} guardrail"
         )
-    started = time.perf_counter()
     seq = family_terms(family, 0, worst + 1)
     # Every cell's domain holds if the smallest n, k and m are in it; it is
     # checked before the first closed form is read.
@@ -139,7 +129,6 @@ def verify_family(
         cells=tuple(cells),
         pass_count=passed,
         fail_count=len(cells) - passed,
-        elapsed=time.perf_counter() - started,
     )
 
 
@@ -221,8 +210,7 @@ def rank_name(rank: int) -> str:
     return _RANK_NAMES.get(rank, f"{rank}-gonal")
 
 
-@dataclass(frozen=True)
-class PolygonalTableCell:
+class PolygonalTableCell(NamedTuple):
     m: int
     rank: int
     coefficient: int
@@ -230,8 +218,7 @@ class PolygonalTableCell:
     match: bool | None
 
 
-@dataclass(frozen=True)
-class PolygonalTable:
+class PolygonalTable(NamedTuple):
     m_values: tuple[int, ...]
     ranks: tuple[int, ...]
     cells: tuple[PolygonalTableCell, ...]
@@ -274,8 +261,7 @@ STATUS_MISMATCH = "MISMATCH"
 STATUS_UNVERIFIED = "UNVERIFIED-CONVENTION"
 
 
-@dataclass(frozen=True)
-class ThirdOrderCell:
+class ThirdOrderCell(NamedTuple):
     column: str
     k: int
     computed: Fraction
@@ -283,8 +269,7 @@ class ThirdOrderCell:
     status: str
 
 
-@dataclass(frozen=True)
-class ThirdOrderTable:
+class ThirdOrderTable(NamedTuple):
     n: int
     k_max: int
     padovan_initial: tuple[int, ...]

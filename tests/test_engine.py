@@ -10,6 +10,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -178,6 +179,24 @@ class TestDifferential:
         with pytest.raises(ValueError) as excinfo:
             family_terms(family, start, count)
         assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize(
+        "family", [SequenceFamily.fibonacci(), SequenceFamily.polygonal(3)],
+        ids=lambda f: f.label,
+    )
+    @pytest.mark.parametrize("value", [2.5, 2.0, Fraction(5)], ids=repr)
+    @pytest.mark.parametrize(
+        # The value goes where None is: three windows end inside the
+        # small-index table, three past it.
+        "window",
+        [(None, 3, 1), (5, None, 1), (5, 3, None),
+         (None, 3, 300), (500, None, 1), (500, 3, None)],
+        ids=["start-in", "count-in", "step-in", "start-past", "count-past", "step-past"],
+    )
+    def test_non_integer_window_raises_type_error(self, family, value, window):
+        start, count, step = (value if v is None else v for v in window)
+        with pytest.raises(TypeError):
+            family_terms(family, start, count, step)
 
     @pytest.mark.parametrize(
         "family",

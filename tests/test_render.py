@@ -145,7 +145,6 @@ def reports() -> list[VerificationReport]:
         ),
         pass_count=2,
         fail_count=1,
-        elapsed=0.0,
     )
     return [passing, collinear, failing, by_hand]
 
@@ -173,7 +172,7 @@ def test_json_round_trips(index):
 
 
 def test_empty_report_json():
-    empty = VerificationReport(SequenceFamily.fibonacci(), "g", (), 0, 0, 0.0)
+    empty = VerificationReport(SequenceFamily.fibonacci(), "g", (), 0, 0)
     assert render_report(empty, "json") == reference_report(empty, "json")
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -78,6 +80,26 @@ class TestPresets:
     def test_custom_roundtrip(self):
         spec = RecurrenceSpec((3, -1), (1, 4), "demo")
         assert preset(SequenceFamily.custom(spec)) is spec
+
+    @pytest.mark.parametrize(
+        "family", [SequenceFamily.generalized(2, 3), SequenceFamily.padovan((1, 0, 0))],
+        ids=lambda f: f.label,
+    )
+    def test_recurrence_built_once(self, family):
+        assert preset(family) is preset(family)
+
+    def test_family_value_ignores_its_recurrence(self):
+        family = SequenceFamily.generalized(2, 3)
+        copy = pickle.loads(pickle.dumps(family))
+        assert copy == family and hash(copy) == hash(family)
+        assert preset(copy) == preset(family)
+        assert repr(family) == (
+            "SequenceFamily(kind=<FamilyKind.GENERALIZED_FIBONACCI: 'generalized'>, "
+            "s=2, t=3, rank=None, initial=None, spec=None)"
+        )
+        moved = dataclasses.replace(family, t=5)
+        assert moved == SequenceFamily.generalized(2, 5)
+        assert preset(moved).initial_terms == (3, 2)
 
 
 class TestTerm:
