@@ -25,7 +25,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .closedforms import closed_area_for
-from .geometry import PolygonSpec, build_vertices, shoelace_area
+from .geometry import PolygonSpec, twice_polygon_area
 from .numerics import rational_str
 from .sequences import FamilyKind, SequenceFamily, check_term_budget, family_terms
 from .verify import (
@@ -349,7 +349,7 @@ def _cmd_area(args: argparse.Namespace) -> int:
     check_term_budget(spec.max_index)
     oracle = closed = None
     if args.method in ("oracle", "both"):
-        oracle = shoelace_area(build_vertices(spec))
+        oracle = Fraction(abs(twice_polygon_area(family, args.n, args.k, args.m)), 2)
     if args.method in ("closed", "both"):
         closed = closed_area_for(family, args.k, args.m)
     _emit(render_area(spec, args.method, oracle, closed, args.format), args.out)

@@ -148,9 +148,15 @@ def polygonal_mgon_area(rank: int, k: int, m: int) -> Fraction:
     m*(m-1)*(m-2)/6.
     """
     check_domain(k=k, m=m, rank=rank)
+    return Fraction(_polygonal_coefficient(rank, m) * k**4)
+
+
+def _polygonal_coefficient(rank: int, m: int) -> int:
+    """The coefficient of k^4 in :func:`polygonal_mgon_area`, for a rank and
+    m already checked."""
     tetra = m * (m - 1) * (m - 2)
     assert tetra % 6 == 0
-    return Fraction(4 * (tetra // 6) * (rank - 2) ** 2 * k**4)
+    return 4 * (tetra // 6) * (rank - 2) ** 2
 
 
 def closed_area_for(family: SequenceFamily, k: int, m: int) -> Fraction:

@@ -12,7 +12,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .sequences import SequenceFamily, check_domain, family_terms, reach
+from .sequences import (
+    MAX_SEQUENCE_INDEX,
+    FamilyKind,
+    SequenceFamily,
+    _x_power,
+    check_domain,
+    family_terms,
+    preset,
+    reach,
+)
 
 
 class Point(NamedTuple):
@@ -89,6 +98,38 @@ def twice_shoelace(xs: Sequence[int], ys: Sequence[int]) -> int:
     """
     return sum(
         map(operator.mul, xs, map(operator.sub, ys[1:] + ys[:1], ys[-1:] + ys[:-1]))
+    )
+
+
+def twice_polygon_area(family: SequenceFamily, n: int, k: int, m: int) -> int:
+    """Twice the signed area of the m-gon of :class:`PolygonSpec` (n, k, m):
+    the surveyor's sum over the family's own terms, from d big products.
+
+    With x**n = a_0 + a_1*x + .. + a_(d-1)*x**(d-1) modulo the characteristic
+    polynomial, every vertex term is f(n + j*k) = sum(a_i * f(i + j*k)), and
+    the shoelace is bilinear in its x and y columns, so
+    ``2S(n) = sum(a_i * M[i][l] * a_l)`` with M[i][l] the shoelace of the x
+    column of the polygon at start i and the y column of the one at start l.
+    M is small-index work; only the d products a_i * (M[i] . a) are big.
+
+    This route is taken where the polygons at starts 0 .. d-1 lie in the
+    small-index table.  Past it, and for figurate families, a is e_0 at
+    start n: M[0][0] alone, the shoelace of the 2m vertex terms fetched by
+    one strided window.
+    """
+    check_domain(n, k, m)
+    weights, start = [1], n
+    if family.kind is not FamilyKind.POLYGONAL:
+        spec = preset(family)
+        if reach(spec.order - 1, k, m) <= MAX_SEQUENCE_INDEX:
+            weights, start = _x_power(spec, n), 0
+    columns = [
+        vertex_columns(family_terms(family, start + i, 2 * m, step=k), 0, 1, m)
+        for i in range(len(weights))
+    ]
+    return sum(
+        a * sum(b * twice_shoelace(xs, ys) for b, (_, ys) in zip(weights, columns))
+        for a, (xs, _) in zip(weights, columns)
     )
 
 

@@ -35,6 +35,7 @@ class RecurrenceSpec:
     coefficients: tuple[int, ...]
     initial_terms: tuple[int, ...]
     label: str = field(default="", compare=False)  # a name, not part of the value
+    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         coefficients = tuple(map(operator.index, self.coefficients))
@@ -45,6 +46,11 @@ class RecurrenceSpec:
             raise ValueError("initial term list length must equal the order")
         object.__setattr__(self, "coefficients", coefficients)
         object.__setattr__(self, "initial_terms", initial_terms)
+        object.__setattr__(self, "_hash", hash((coefficients, initial_terms)))
+
+    def __hash__(self) -> int:
+        # Taken once: every small-index table lookup hashes the spec.
+        return self._hash
 
     @property
     def order(self) -> int:

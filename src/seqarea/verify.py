@@ -9,11 +9,12 @@ instead of being silently corrected.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from itertools import product
 from typing import Iterable, NamedTuple, Sequence
 
-from .closedforms import closed_area_for, polygonal_mgon_area
+from .closedforms import _polygonal_coefficient, closed_area_for
 from .geometry import Point, collinear, twice_shoelace, vertex_columns
 from .sequences import (
     MAX_SEQUENCE_INDEX,
@@ -54,7 +55,8 @@ class VerificationReport(NamedTuple):
 
 def _as_range(values: Iterable[int], name: str) -> Sequence[int]:
     # A range stays a range: its length and ends are read without a list.
-    out = values if isinstance(values, range) else list(values)
+    # Other values are checked to be integers here, once.
+    out = values if isinstance(values, range) else list(map(operator.index, values))
     if not out:
         raise ValueError(f"{name} range must be nonempty")
     return out
@@ -242,12 +244,12 @@ def polygonal_table(
             f"table has {len(ms) * len(ranks)} cells, beyond the "
             f"{MAX_TABLE_CELLS} table-cell budget"
         )
+    # Every cell's domain holds if the smallest m and rank are in it.
+    check_domain(m=_ends(ms)[0], rank=_ends(ranks)[0])
     cells = []
     for m in ms:
         for rank in ranks:
-            area = polygonal_mgon_area(rank, 1, m)
-            assert area.denominator == 1
-            coeff = area.numerator
+            coeff = _polygonal_coefficient(rank, m)
             published = PUBLISHED_POLYGONAL_COEFFS.get((m, rank))
             match = None if published is None else coeff == published
             cells.append(PolygonalTableCell(m, rank, coeff, published, match))

@@ -577,9 +577,10 @@ GUARDRAIL_DIGESTS = {
     "csv": (265012, "0dd088dd85a537f01971f3ad205689c34434f8207ae36cb5fff2d68074b18d92"),
 }
 
-# SHA-256 and length of `area` output at large n, where the term engine
-# jumps and strides and the kernel multiplies terms of tens of thousands of
-# bits.
+# SHA-256 and length of `area` output at large n, where the oracle multiplies
+# numbers of tens of thousands of bits: jump coefficients against small-index
+# shoelaces, or (at the 20,000 stride) strided vertex terms.  The last two
+# were hashed before the oracle took the jump-coefficient route.
 LARGE_N_DIGESTS = [
     pytest.param(
         ("area", "pell", "--n", "27549", "--k", "18", "--m", "10", "--method", "both",
@@ -614,6 +615,16 @@ LARGE_N_DIGESTS = [
         ("area", "pell", "--n", "0", "--k", "20000", "--m", "3", "--method", "both"),
         (76578, "e538115ccc7cc6e06bfe4ada96885428028c12b067ebf17e7ca0b4ab5eef4b00"),
         id="pell-large-stride-both-markdown",
+    ),
+    pytest.param(
+        ("area", "pell", "--n", "99000", "--k", "20", "--m", "10", "--method", "both"),
+        (314, "23e6ddf7cbbe6f3794f6579bacfaefaba1622c8cdb5a7bbfb2a0f9b733b21ade"),
+        id="pell-budget-both-markdown",
+    ),
+    pytest.param(
+        ("area", "tribonacci", "--n", "99000", "--k", "20", "--m", "10"),
+        (13201, "501c04be09e4af89de288f12e5729eb2b59d48f0b75444202fc05e054ccbd9aa"),
+        id="tribonacci-budget-oracle-markdown",
     ),
 ]
 

@@ -1,4 +1,5 @@
-"""The integer shoelace kernel on vertex columns against the Polygon route.
+"""The integer shoelace kernel on vertex columns against the Polygon route,
+and the jump-coefficient area kernel against the shoelace of the vertex terms.
 
 ``cyclic_sum`` below is the reference: the cross-product loop written out
 over (x, y) pairs, independent of the kernel's difference form.
@@ -14,20 +15,23 @@ from unittest import mock
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqarea import closedforms
+from seqarea import closedforms, geometry, sequences
 from seqarea.geometry import (
     PolygonSpec,
     build_vertices,
     collinear,
     shoelace_signed,
+    twice_polygon_area,
     twice_shoelace,
     vertex_columns,
 )
 from seqarea.sequences import (
     MAX_SEQUENCE_INDEX,
+    FamilyKind,
     RecurrenceSpec,
     SequenceFamily,
     family_terms,
+    preset,
     reach,
 )
 from seqarea.verify import verify_family
@@ -55,10 +59,15 @@ def cyclic_sum(points) -> int:
 
 @st.composite
 def custom_families(draw):
-    order = draw(st.integers(2, 5))
+    order = draw(st.integers(1, 5))
     leading = draw(st.lists(st.integers(-3, 3), min_size=order - 1, max_size=order - 1))
     last = draw(st.one_of(st.just(0), st.integers(-3, 3)))  # c_d = 0 often
-    initial = draw(st.lists(st.integers(-5, 5), min_size=order, max_size=order))
+    initial = draw(
+        st.one_of(
+            st.just([0] * order),
+            st.lists(st.integers(-5, 5), min_size=order, max_size=order),
+        )
+    )
     return SequenceFamily.custom(
         RecurrenceSpec((*leading, last), tuple(initial), "hypothesis")
     )
@@ -130,6 +139,41 @@ def test_kernel_on_wide_columns(m, bits, seed):
     want = cyclic_sum(list(zip(xs, ys)))
     assert twice_shoelace(xs, ys) == want
     assert twice_shoelace(tuple(xs), tuple(ys)) == want  # shoelace_signed's columns
+
+
+@st.composite
+def area_requests(draw):
+    """(family, n, k, m) on either side of the jump-coefficient route's rule
+    (2m-1)k + d - 1 <= MAX_SEQUENCE_INDEX, or exactly on it."""
+    family = draw(FAMILIES)
+    d = 1 if family.kind is FamilyKind.POLYGONAL else preset(family).order
+    free = MAX_SEQUENCE_INDEX - (d - 1)  # the largest span the route takes
+    side = draw(st.sampled_from(["edge", "past edge", "inside", "outside"]))
+    if side in ("edge", "past edge"):
+        m = draw(
+            st.sampled_from(
+                [m for m in range(3, free // 2 + 2) if free % (2 * m - 1) == 0]
+            )
+        )
+        k = free // (2 * m - 1) + (side == "past edge")
+    else:
+        m = draw(st.integers(3, 12))
+        edge = free // (2 * m - 1)
+        k = draw(st.integers(1, edge) if side == "inside" else st.integers(edge + 1, edge + 50))
+    return family, draw(st.integers(0, 3000)), k, m
+
+
+@settings(max_examples=300, deadline=None)
+@given(request=area_requests())
+def test_polygon_area_kernel_matches_shoelace(request):
+    family, n, k, m = request
+    want = twice_shoelace(*vertex_columns(family_terms(family, n, 2 * m, step=k), 0, 1, m))
+    with mock.patch.object(geometry, "_x_power", wraps=sequences._x_power) as jump:
+        assert twice_polygon_area(family, n, k, m) == want  # signed
+    assert jump.called == (
+        family.kind is not FamilyKind.POLYGONAL
+        and reach(preset(family).order - 1, k, m) <= MAX_SEQUENCE_INDEX
+    )
 
 
 def _zero(family, k, m):

@@ -3,6 +3,8 @@ import pickle
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqarea.closedforms import mgon_area, polygonal_mgon_area, twice_signed_area
 from seqarea.numerics import QuadElem
@@ -354,6 +356,32 @@ class TestValidation:
         fib = preset(SequenceFamily.fibonacci())
         same = RecurrenceSpec((1, 1), (0, 1), "U")
         assert same == fib and hash(same) == hash(fib)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        coefficients=st.lists(st.integers(-10**30, 10**30), min_size=1, max_size=5),
+        data=st.data(),
+        labels=st.tuples(st.text(max_size=5), st.text(max_size=5)),
+    )
+    def test_stored_hash_follows_the_value(self, coefficients, data, labels):
+        # The hash is taken once, at construction: equal values (whatever
+        # their labels or input types) hash equal however they were made.
+        initial = data.draw(
+            st.lists(st.integers(-10**30, 10**30), min_size=len(coefficients),
+                     max_size=len(coefficients))
+        )
+        spec = RecurrenceSpec(tuple(coefficients), tuple(initial), labels[0])
+        same = RecurrenceSpec(coefficients, initial, labels[1])
+        copy = pickle.loads(pickle.dumps(spec))
+        for other in (same, copy):
+            assert other == spec and hash(other) == hash(spec)
+        moved = dataclasses.replace(spec, initial_terms=[v + 1 for v in initial])
+        built = RecurrenceSpec(coefficients, [v + 1 for v in initial])
+        assert moved != spec and moved == built and hash(moved) == hash(built)
+        assert repr(spec) == (
+            f"RecurrenceSpec(coefficients={tuple(coefficients)!r}, "
+            f"initial_terms={tuple(initial)!r}, label={labels[0]!r})"
+        )
 
     def test_labels(self):
         assert SequenceFamily.fibonacci().label == "fibonacci"

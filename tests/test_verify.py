@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from seqarea.closedforms import closed_triangle_area
+from seqarea.closedforms import closed_triangle_area, polygonal_mgon_area
 from seqarea.sequences import SequenceFamily, UnsupportedFamilyError, _small_table
 from seqarea.verify import (
     MAX_SEQUENCE_INDEX,
@@ -167,6 +167,30 @@ class TestPolygonalTable:
         table = polygonal_table([8, 9], [11, 12])
         for cell in table.cells:
             assert cell.published is None and cell.match is None
+
+    def test_coefficient_is_the_area_at_k_1(self):
+        table = polygonal_table([9, 4, 12], [3, 40, 7])
+        for cell in table.cells:
+            assert polygonal_mgon_area(cell.rank, 1, cell.m) == cell.coefficient
+
+    @pytest.mark.parametrize(
+        "m_values, ranks, error, message",
+        [
+            ([5, 2, 4], [3], ValueError, "vertex count m must be >= 3, got 2"),
+            ([3], [4, 9, 2], ValueError, "polygonal rank must be >= 3, got 2"),
+            ([3, 2, 1], [4], ValueError, "vertex count m must be >= 3, got 1"),
+            ([2], [5, 2], ValueError, "polygonal rank must be >= 3, got 2"),
+            ([3], [4, 5.5], TypeError, None),
+            ([3, 4.0], [4], TypeError, None),
+        ],
+    )
+    def test_domain_checked_once_over_every_value(self, m_values, ranks, error, message):
+        # The domain is checked from the smallest values, so a bad value
+        # anywhere in a list is still refused, and a non-integer raises.
+        # The error names the smallest bad value, and rank is checked
+        # before m.
+        with pytest.raises(error, match=message):
+            polygonal_table(m_values, ranks)
 
     def test_rank_names(self):
         assert rank_name(3) == "Triangular"
