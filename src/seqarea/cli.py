@@ -169,12 +169,17 @@ def render_area(
     fmt: str,
 ) -> str:
     match = oracle == closed if method == "both" else None
+    # Equal areas (a MATCH) are spelled once: at large n one area's digits
+    # are a large share of the request.
+    spell = rational_str if fmt == "markdown" else _TOKENS[fmt][1]
+    oracle_text = None if oracle is None else spell(oracle)
+    closed_text = oracle_text if match else None if closed is None else spell(closed)
     if fmt != "markdown":
-        text, rational, null = _TOKENS[fmt]
+        text, _, null = _TOKENS[fmt]
         where = {"family": text(spec.family.label), "n": spec.n, "k": spec.k, "m": spec.m}
         found = {
-            "oracle": null if oracle is None else rational(oracle),
-            "closed": null if closed is None else rational(closed),
+            "oracle": null if oracle_text is None else oracle_text,
+            "closed": null if closed_text is None else closed_text,
             "match": null if match is None else _FLAGS[match],
         }
         if fmt == "csv":
@@ -183,15 +188,12 @@ def render_area(
         found = {key: t for key, t in found.items() if t != null}
         return _write_json({**where, "method": text(method), **found})
     if method == "both":
-        assert oracle is not None and closed is not None
+        assert oracle_text is not None and closed_text is not None
         verdict = "MATCH" if match else "MISMATCH"
-        return (
-            f"oracle: {rational_str(oracle)}\n"
-            f"closed: {rational_str(closed)}\n{verdict}\n"
-        )
-    value = oracle if method == "oracle" else closed
+        return f"oracle: {oracle_text}\nclosed: {closed_text}\n{verdict}\n"
+    value = oracle_text if method == "oracle" else closed_text
     assert value is not None
-    return rational_str(value) + "\n"
+    return value + "\n"
 
 
 def _cell_areas(

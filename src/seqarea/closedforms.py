@@ -15,6 +15,7 @@ must agree with both the integer forms and the shoelace oracle.
 from __future__ import annotations
 
 import functools
+import operator
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -106,15 +107,18 @@ def _general_twice_signed(params: BinetParams, n: int, k: int, m: int) -> QuadEl
     With beta the conjugate of r and D(j) = r^j - beta^j, it is
     ``-(-1)^n * a*b * D(k) * ((m-1)*D(2k) - D((2m-2)k))``: the form of
     :func:`twice_signed_area` with Q = -1, U(j) = D(j)/(r - beta) and
-    e = -a*b*(r - beta)^2.  Each beta^j is the conjugate of r^j.
+    e = -a*b*(r - beta)^2.  Each beta^j is the conjugate of r^j.  Any
+    integer n is defined, a negative one too, as for
+    :func:`~seqarea.sequences.binet_eval`; a non-integer raises ``TypeError``.
     """
+    odd = operator.index(n) % 2
     check_domain(k=k, m=m)
     rk = params.r**k
     r2k = rk * rk
     r_span = r2k ** (m - 1)  # r^((2m-2)k)
     inner = (m - 1) * (r2k - r2k.conjugate()) - (r_span - r_span.conjugate())
     value = params.a * params.b * (rk - rk.conjugate()) * inner
-    return value if n % 2 else -value
+    return value if odd else -value
 
 
 def general_triangle_area(params: BinetParams, n: int, k: int) -> QuadElem:

@@ -446,6 +446,7 @@ class BinetParams:
             raise ValueError(f"r must have norm -1, got {self.r.norm()}")
 
 
+@functools.lru_cache(maxsize=64)
 def binet_params(family: SequenceFamily) -> BinetParams:
     """Exact (a, b, r) for a recurrence f(n) = c1*f(n-1) + f(n-2) with c1 != 0.
 
@@ -456,6 +457,12 @@ def binet_params(family: SequenceFamily) -> BinetParams:
     with r the golden ratio, Pell-type families in Q(sqrt(2)) with
     r = 1 + sqrt(2).  Jacobsthal (c2 = 2), the third-order families,
     polygonal numbers and c1 = 0 (rational roots 1 and -1) have no such form.
+
+    Derived once per family value, as ``closedforms._horadam`` is: equal
+    families (custom specs that differ only in ``label`` too) get the same
+    object, which is safe to share because ``BinetParams`` and its
+    ``QuadElem`` fields are immutable.  An unsupported family raises on
+    every call; errors are not cached.
     """
     spec = None if family.kind is FamilyKind.POLYGONAL else preset(family)
     if spec is None or spec.order != 2 or spec.coefficients[1] != 1:

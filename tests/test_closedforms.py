@@ -185,6 +185,21 @@ class TestGeneralTriangleArea:
         assert value == 3072
         assert value == oracle_area(SequenceFamily.pell_lucas(), 0, 2, 3)
 
+    @pytest.mark.parametrize("n", [2.5, 2.0, Fraction(3, 2)], ids=repr)
+    def test_non_integer_start_raises_type_error(self, n):
+        params = binet_params(SequenceFamily.fibonacci())
+        with pytest.raises(TypeError):
+            general_triangle_area(params, n, 2)
+        with pytest.raises(TypeError):
+            twice_signed_area(SequenceFamily.fibonacci(), n, 2, 3)
+
+    def test_negative_start_is_defined(self):
+        # Twice the signed area at n is (-1)^n times the one at 0, as Q = -1.
+        params = binet_params(SequenceFamily.fibonacci())
+        at_zero = general_triangle_area(params, 0, 2).to_rational()
+        for n in range(-5, 0):
+            assert general_triangle_area(params, n, 2).to_rational() == (-1) ** n * at_zero
+
     @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.label)
     def test_matches_parity_split_form(self, family):
         params = binet_params(family)

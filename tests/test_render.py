@@ -17,7 +17,7 @@ from unittest import mock
 
 import pytest
 
-from seqarea import closedforms
+from seqarea import cli, closedforms
 from seqarea.cli import (
     render_area,
     render_gen,
@@ -222,6 +222,23 @@ def test_area_matches_reference_writer(fmt, case):
     method, oracle, closed = case
     got = render_area(AREA_SPEC, method, oracle, closed, fmt)
     assert got == reference_area(AREA_SPEC, method, oracle, closed, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["markdown", "json", "csv"])
+@pytest.mark.parametrize("closed, spellings", [(AREA_CLOSED, 1), (Fraction(-5, 2), 2)])
+def test_area_spells_a_match_once(fmt, closed, spellings):
+    # At large n one area has tens of thousands of digits: a MATCH spells
+    # them once and writes the token twice.  CSV's token is rational_str
+    # itself, bound in ``_TOKENS``, so the spy goes there too.
+    want = render_area(AREA_SPEC, "both", AREA_ORACLE, closed, fmt)
+    spy = mock.Mock(wraps=rational_str)
+    text, _, null = cli._TOKENS["csv"]
+    with mock.patch.object(cli, "rational_str", spy), mock.patch.dict(
+        cli._TOKENS, {"csv": (text, spy, null)}
+    ):
+        got = render_area(AREA_SPEC, "both", AREA_ORACLE, closed, fmt)
+    assert spy.call_count == spellings
+    assert got == want
 
 
 def reference_polygonal(table: PolygonalTable, fmt: str) -> str:

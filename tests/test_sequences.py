@@ -1,5 +1,6 @@
 import dataclasses
 import pickle
+import re
 from fractions import Fraction
 
 import pytest
@@ -250,6 +251,59 @@ class TestBinetParams:
                 p = binet_params(SequenceFamily.generalized(s, t))
                 product = (p.a * p.b).to_rational()
                 assert product == Fraction(s * s + s * t - t * t, 5)
+
+
+NO_BINET_FORM = [
+    SequenceFamily.jacobsthal(),
+    SequenceFamily.jacobsthal_lucas(),
+    SequenceFamily.tribonacci(),
+    SequenceFamily.perrin(),
+    SequenceFamily.padovan(),
+    SequenceFamily.polygonal(5),
+    SequenceFamily.custom(RecurrenceSpec((0, 1), (1, 2), "c1 = 0")),
+    SequenceFamily.custom(RecurrenceSpec((3, 2), (0, 1), "c2 = 2")),
+    SequenceFamily.custom(RecurrenceSpec((3, -1), (0, 1), "c2 = -1")),
+]
+
+
+class TestBinetParamsCache:
+    def test_equal_families_share_one_object(self):
+        assert binet_params(SequenceFamily.pell()) is binet_params(SequenceFamily.pell())
+        assert binet_params(SequenceFamily.generalized(2, 5)) is binet_params(
+            SequenceFamily.generalized(2, 5)
+        )
+        one = SequenceFamily.custom(RecurrenceSpec((3, 1), (0, 1), "one"))
+        other = SequenceFamily.custom(RecurrenceSpec((3, 1), (0, 1), "other"))
+        assert one.label != other.label
+        assert binet_params(one) is binet_params(other)
+
+    def test_cached_value_equals_a_fresh_derivation(self):
+        families = [
+            SequenceFamily.fibonacci(),
+            SequenceFamily.lucas(),
+            SequenceFamily.pell(),
+            SequenceFamily.pell_lucas(),
+        ]
+        families += [
+            SequenceFamily.generalized(s, t) for s in range(-6, 7) for t in range(-6, 7)
+        ]
+        families += [
+            SequenceFamily.custom(RecurrenceSpec((c1, 1), initial, "c1"))
+            for c1 in (*range(-6, 0), *range(1, 7))
+            for initial in ((0, 1), (2, c1), (-3, 7))
+        ]
+        for family in families:
+            cached = binet_params(family)
+            assert binet_params(family) is cached, family.label
+            assert cached == binet_params.__wrapped__(family), family.label
+
+    @pytest.mark.parametrize("family", NO_BINET_FORM, ids=lambda f: f.label)
+    def test_unsupported_family_raises_every_time_and_is_not_cached(self, family):
+        size = binet_params.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(UnsupportedFamilyError, match=re.escape(family.label)):
+                binet_params(family)
+        assert binet_params.cache_info().currsize == size
 
 
 class TestBinetEval:
