@@ -20,9 +20,6 @@ from .closedforms import (
     twice_signed_area,
 )
 from .geometry import (
-    Point,
-    Polygon,
-    PolygonSpec,
     build_vertices,
     collinear,
     shoelace_area,
@@ -69,9 +66,6 @@ __all__ = [
     "ClosedFormResult",
     "FamilyKind",
     "IrrationalResidueError",
-    "Point",
-    "Polygon",
-    "PolygonSpec",
     "PolygonalTable",
     "PolygonalTableCell",
     "QuadElem",

@@ -25,9 +25,16 @@ from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .closedforms import closed_area_for
-from .geometry import PolygonSpec, twice_polygon_area
+from .geometry import twice_polygon_area
 from .numerics import rational_str
-from .sequences import FamilyKind, SequenceFamily, check_term_budget, family_terms
+from .sequences import (
+    FamilyKind,
+    SequenceFamily,
+    check_domain,
+    check_term_budget,
+    family_terms,
+    reach,
+)
 from .verify import (
     PolygonalTable,
     ThirdOrderCell,
@@ -162,7 +169,10 @@ def render_gen(values: list[int], fmt: str) -> str:
 
 
 def render_area(
-    spec: PolygonSpec,
+    family: SequenceFamily,
+    n: int,
+    k: int,
+    m: int,
     method: str,
     oracle: Fraction | None,
     closed: Fraction | None,
@@ -176,7 +186,7 @@ def render_area(
     closed_text = oracle_text if match else None if closed is None else spell(closed)
     if fmt != "markdown":
         text, _, null = _TOKENS[fmt]
-        where = {"family": text(spec.family.label), "n": spec.n, "k": spec.k, "m": spec.m}
+        where = {"family": text(family.label), "n": n, "k": k, "m": m}
         found = {
             "oracle": null if oracle_text is None else oracle_text,
             "closed": null if closed_text is None else closed_text,
@@ -346,15 +356,16 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_area(args: argparse.Namespace) -> int:
-    family = resolve_family(args)
-    spec = PolygonSpec(family, args.n, args.k, args.m)
-    check_term_budget(spec.max_index)
+    family, n, k, m = resolve_family(args), args.n, args.k, args.m
+    check_domain(n, k, m)
+    check_term_budget(reach(n, k, m))
     oracle = closed = None
     if args.method in ("oracle", "both"):
-        oracle = Fraction(abs(twice_polygon_area(family, args.n, args.k, args.m)), 2)
+        oracle = Fraction(abs(twice_polygon_area(family, n, k, m)), 2)
     if args.method in ("closed", "both"):
-        closed = closed_area_for(family, args.k, args.m)
-    _emit(render_area(spec, args.method, oracle, closed, args.format), args.out)
+        closed = closed_area_for(family, k, m)
+    text = render_area(family, n, k, m, args.method, oracle, closed, args.format)
+    _emit(text, args.out)
     if args.method == "both" and oracle != closed:
         return 1
     return 0

@@ -58,7 +58,7 @@ def _twice_area_at_zero(family: SequenceFamily, k: int, m: int) -> tuple[int, in
 def twice_signed_area(family: SequenceFamily, n: int, k: int, m: int) -> int:
     """Twice the signed area of the m-gon on a second-order family's terms.
 
-    With the vertices of :class:`~seqarea.geometry.PolygonSpec` (n, k, m)
+    With the vertices of :func:`~seqarea.geometry.build_vertices` (n, k, m)
     and U, e, Q as in Horadam (Fibonacci Quart. 3 (1965) 161-176), it is
     ``e * Q^n * U(k) * (U(2k) * sum(Q^(2ik), i = 0..m-2) - U((2m-2)k))``,
     sign included.  Third-order and polygonal families raise

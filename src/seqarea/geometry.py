@@ -1,16 +1,16 @@
 """Exact planar geometry over arbitrary-precision integer coordinates.
 
-Signed areas come out as Fractions with denominator 1 or 2; nothing is ever
-rounded.  Vertex order is meaningful throughout: the surveyor's formula is
+A polygon is two integer columns: vertex i is (xs[i], ys[i]).  Signed areas
+come out as Fractions with denominator 1 or 2; nothing is ever rounded.
+Vertex order is meaningful throughout: the surveyor's formula is
 orientation-sensitive and no function reorders its input.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .sequences import (
     MAX_SEQUENCE_INDEX,
@@ -24,58 +24,23 @@ from .sequences import (
 )
 
 
-class Point(NamedTuple):
-    x: int
-    y: int
+def build_vertices(
+    family: SequenceFamily, n: int, k: int, m: int
+) -> tuple[list[int], list[int]]:
+    """The x and y columns of the m-gon whose vertex i is
+    (f(n + 2ik), f(n + (2i+1)k)) for i = 0 .. m-1.
 
-
-@dataclass(frozen=True)
-class Polygon:
-    """An ordered vertex list, at least a triangle."""
-
-    vertices: tuple[Point, ...]
-
-    def __post_init__(self) -> None:
-        # operator.index rejects floats and fractions: coordinates are exact.
-        object.__setattr__(
-            self,
-            "vertices",
-            tuple(
-                Point(operator.index(p[0]), operator.index(p[1]))
-                for p in self.vertices
-            ),
-        )
-        if len(self.vertices) < 3:
-            raise ValueError("a polygon needs at least 3 vertices")
-
-
-@dataclass(frozen=True)
-class PolygonSpec:
-    """Recipe for an m-gon on sequence terms: vertex i is
-    (seq(n + 2*i*k), seq(n + (2*i+1)*k)) for i = 0 .. m-1."""
-
-    family: SequenceFamily
-    n: int
-    k: int
-    m: int
-
-    def __post_init__(self) -> None:
-        check_domain(self.n, self.k, self.m)
-
-    @property
-    def max_index(self) -> int:
-        """Largest sequence index the vertex pattern touches."""
-        return reach(self.n, self.k, self.m)
-
-
-def build_vertices(spec: PolygonSpec) -> Polygon:
-    """Materialize the vertex pattern of a PolygonSpec as a Polygon.
-
-    Only the 2m vertex terms f(n), f(n+k), .. f(max_index) are fetched, as
+    Only the 2m vertex terms f(n), f(n+k), .. f(n + (2m-1)k) are fetched, as
     one strided window, never the terms between them.
+
+    >>> xs, ys = build_vertices(SequenceFamily.fibonacci(), 1, 2, 3)
+    >>> xs, ys
+    ([1, 5, 34], [2, 13, 89])
+    >>> shoelace_area(xs, ys)
+    Fraction(15, 2)
     """
-    vertex_terms = family_terms(spec.family, spec.n, 2 * spec.m, step=spec.k)
-    return Polygon(tuple(zip(*vertex_columns(vertex_terms, 0, 1, spec.m))))
+    check_domain(n, k, m)
+    return vertex_columns(family_terms(family, n, 2 * m, step=k), 0, 1, m)
 
 
 def vertex_columns(
@@ -102,7 +67,7 @@ def twice_shoelace(xs: Sequence[int], ys: Sequence[int]) -> int:
 
 
 def twice_polygon_area(family: SequenceFamily, n: int, k: int, m: int) -> int:
-    """Twice the signed area of the m-gon of :class:`PolygonSpec` (n, k, m):
+    """Twice the signed area of the m-gon of :func:`build_vertices` (n, k, m):
     the surveyor's sum over the family's own terms, from d big products.
 
     With x**n = a_0 + a_1*x + .. + a_(d-1)*x**(d-1) modulo the characteristic
@@ -123,42 +88,43 @@ def twice_polygon_area(family: SequenceFamily, n: int, k: int, m: int) -> int:
         spec = preset(family)
         if reach(spec.order - 1, k, m) <= MAX_SEQUENCE_INDEX:
             weights, start = _x_power(spec, n), 0
-    columns = [
-        vertex_columns(family_terms(family, start + i, 2 * m, step=k), 0, 1, m)
-        for i in range(len(weights))
-    ]
+    columns = [build_vertices(family, start + i, k, m) for i in range(len(weights))]
     return sum(
         a * sum(b * twice_shoelace(xs, ys) for b, (_, ys) in zip(weights, columns))
         for a, (xs, _) in zip(weights, columns)
     )
 
 
-def shoelace_signed(poly: Polygon) -> Fraction:
-    """Signed surveyor's-formula area: half the cyclic sum of cross terms.
+def _columns(
+    xs: Iterable[int], ys: Iterable[int], least: int
+) -> tuple[list[int], list[int]]:
+    """Both columns as int lists of one length, at least ``least`` long."""
+    # operator.index rejects floats and fractions: coordinates are exact.
+    xs, ys = list(map(operator.index, xs)), list(map(operator.index, ys))
+    if len(xs) != len(ys):
+        raise ValueError(f"vertex columns differ in length: {len(xs)} and {len(ys)}")
+    if len(xs) < least:
+        raise ValueError(f"needs at least {least} vertices, got {len(xs)}")
+    return xs, ys
 
-    Positive for counterclockwise orientation.
-    """
-    xs, ys = zip(*poly.vertices)
-    return Fraction(twice_shoelace(xs, ys), 2)
+
+def shoelace_signed(xs: Iterable[int], ys: Iterable[int]) -> Fraction:
+    """Signed surveyor's-formula area of the polygon with vertex columns xs
+    and ys, positive counterclockwise; it needs at least 3 vertices."""
+    return Fraction(twice_shoelace(*_columns(xs, ys, 3)), 2)
 
 
-def shoelace_area(poly: Polygon) -> Fraction:
+def shoelace_area(xs: Iterable[int], ys: Iterable[int]) -> Fraction:
     """Absolute surveyor's-formula area."""
-    return abs(shoelace_signed(poly))
+    return abs(shoelace_signed(xs, ys))
 
 
-def collinear(points: Sequence[Point]) -> bool:
-    """True if all points lie on one line (exact cross-product test).
-
-    Needs at least 2 points; a fully coincident set counts as collinear.
-    """
-    if len(points) < 2:
-        raise ValueError("collinearity needs at least 2 points")
-    first = points[0]
-    anchor = next((p for p in points if p != first), None)
-    if anchor is None:
-        return True
-    ux, uy = anchor.x - first.x, anchor.y - first.y
-    return all(
-        ux * (p.y - first.y) - uy * (p.x - first.x) == 0 for p in points
-    )
+def collinear(xs: Iterable[int], ys: Iterable[int]) -> bool:
+    """True if the points (xs[i], ys[i]) all lie on one line, by exact cross
+    products.  Needs at least 2 points; coincident points are collinear."""
+    xs, ys = _columns(xs, ys, 2)
+    # Offsets from the first point; the first nonzero one is the line's
+    # direction (with none, every cross term below is 0).
+    dxs, dys = [x - xs[0] for x in xs], [y - ys[0] for y in ys]
+    j = next((i for i in range(len(dxs)) if dxs[i] or dys[i]), 0)
+    return all(dxs[i] * dys[j] == dys[i] * dxs[j] for i in range(len(dxs)))

@@ -480,6 +480,7 @@ def binet_params(family: SequenceFamily) -> BinetParams:
 
 def binet_eval(params: BinetParams, n: int) -> Fraction:
     """Evaluate a*r^n - b*beta^n exactly, with beta^n the conjugate of r^n;
-    the radical part must cancel."""
-    r_n = params.r**n
+    the radical part must cancel.  Any integer n is defined, a negative one
+    too; a non-integer raises ``TypeError``."""
+    r_n = params.r ** operator.index(n)
     return (params.a * r_n - params.b * r_n.conjugate()).to_rational()

@@ -15,7 +15,7 @@ from itertools import product
 from typing import Iterable, NamedTuple, Sequence
 
 from .closedforms import _polygonal_coefficient, closed_area_for
-from .geometry import Point, collinear, twice_shoelace, vertex_columns
+from .geometry import collinear, twice_shoelace, vertex_columns
 from .sequences import (
     MAX_SEQUENCE_INDEX,
     MAX_TABLE_CELLS,
@@ -82,11 +82,8 @@ def verify_family(
     k middle, m inner; every cell reads one term slice f(0) .. f(largest
     index) shared by the whole grid.
 
-    No :class:`~seqarea.geometry.Polygon` is built per cell: the oracle is
-    still the shoelace sum over the cell's actual vertex terms, read as two
-    strided columns of that slice by :func:`~seqarea.geometry.twice_shoelace`
-    and compared with the closed form in integers.  Points are built only
-    where the closed area is 0, for the collinearity check.
+    The oracle is the shoelace sum of the cell's vertex columns, two strided
+    slices of that slice, compared with the closed form in integers.
     """
     closed_area_for(family, 1, 3)  # a family with no closed form fails first
     ns = _as_range(n_range, "n")
@@ -118,7 +115,7 @@ def verify_family(
         if closed:
             cells.append(VerificationCell(n, k, m, oracle, closed, match))
             continue
-        is_line = collinear(list(map(Point, xs, ys)))
+        is_line = collinear(xs, ys)
         note = "collinear" if is_line else "NOT COLLINEAR"
         cells.append(VerificationCell(n, k, m, oracle, closed, is_line and match, note))
     passed = sum(c.match for c in cells)

@@ -17,7 +17,7 @@ from seqarea.closedforms import (
     polygonal_mgon_area,
     polygonal_triangle_area,
 )
-from seqarea.geometry import PolygonSpec, build_vertices, shoelace_area
+from seqarea.geometry import build_vertices, shoelace_area
 from seqarea.sequences import (
     SequenceFamily,
     binet_eval,
@@ -51,7 +51,7 @@ GENERALIZED_SAMPLE = [(0, 0), (0, 1), (1, 0), (1, 1), (1, 2), (2, 3), (-1, 2), (
 
 
 def oracle(family, n, k, m) -> Fraction:
-    return shoelace_area(build_vertices(PolygonSpec(family, n, k, m)))
+    return shoelace_area(*build_vertices(family, n, k, m))
 
 
 @contextmanager
@@ -187,19 +187,17 @@ def test_criterion_8_property_suites():
         for d in (2, 5):
             assert field_axiom_violations(make_rng(100 + d), d, 1000) == 0
 
-        from seqarea.geometry import Point, Polygon, shoelace_signed
+        from seqarea.geometry import shoelace_signed
 
         rng = make_rng(200)
         for _ in range(300):
-            pts = tuple(
-                Point(rng.randint(-50, 50), rng.randint(-50, 50))
-                for _ in range(rng.randint(3, 9))
-            )
-            poly = Polygon(pts)
+            count = rng.randint(3, 9)
+            xs = [rng.randint(-50, 50) for _ in range(count)]
+            ys = [rng.randint(-50, 50) for _ in range(count)]
             dx, dy = rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6)
-            moved = Polygon(tuple(Point(x + dx, y + dy) for x, y in pts))
-            assert shoelace_area(moved) == shoelace_area(poly)
-            assert shoelace_signed(Polygon(pts[::-1])) == -shoelace_signed(poly)
+            moved = [x + dx for x in xs], [y + dy for y in ys]
+            assert shoelace_area(*moved) == shoelace_area(xs, ys)
+            assert shoelace_signed(xs[::-1], ys[::-1]) == -shoelace_signed(xs, ys)
 
         for s in range(-5, 6):
             for t in range(-5, 6):

@@ -9,7 +9,6 @@ from fractions import Fraction
 import pytest
 
 from seqarea import (
-    PolygonSpec,
     SequenceFamily,
     build_vertices,
     cli,
@@ -142,8 +141,8 @@ class TestArea:
     def test_values_beyond_4300_digits_print_in_full(self, capsys):
         code, out, _ = run(capsys, "area", "tribonacci", "--n", "34000", "--k", "3", "--m", "3")
         assert code == 0
-        spec = PolygonSpec(SequenceFamily.tribonacci(), 34000, 3, 3)
-        assert out == rational_str(shoelace_area(build_vertices(spec))) + "\n"
+        vertices = build_vertices(SequenceFamily.tribonacci(), 34000, 3, 3)
+        assert out == rational_str(shoelace_area(*vertices)) + "\n"
         assert len(out) > 4300
 
     def test_invalid_spec_is_usage_error(self, capsys):

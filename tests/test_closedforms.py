@@ -13,7 +13,7 @@ from seqarea.closedforms import (
     polygonal_triangle_area,
     twice_signed_area,
 )
-from seqarea.geometry import PolygonSpec, build_vertices, shoelace_area, shoelace_signed
+from seqarea.geometry import build_vertices, shoelace_area, shoelace_signed
 from seqarea.sequences import (
     RecurrenceSpec,
     SequenceFamily,
@@ -36,7 +36,7 @@ FAMILIES = [
 
 
 def oracle_area(family: SequenceFamily, n: int, k: int, m: int) -> Fraction:
-    return shoelace_area(build_vertices(PolygonSpec(family, n, k, m)))
+    return shoelace_area(*build_vertices(family, n, k, m))
 
 
 class TestClosedTriangleArea:
@@ -101,8 +101,8 @@ class TestTwiceSignedArea:
     )
     def test_matches_signed_shoelace(self, p, q, w0, w1, n, k, m):
         family = custom(p, q, w0, w1)
-        poly = build_vertices(PolygonSpec(family, n, k, m))
-        assert twice_signed_area(family, n, k, m) == 2 * shoelace_signed(poly)
+        poly = build_vertices(family, n, k, m)
+        assert twice_signed_area(family, n, k, m) == 2 * shoelace_signed(*poly)
 
     def test_jacobsthal_bracket_vanishes(self):
         for family in (SequenceFamily.jacobsthal(), SequenceFamily.jacobsthal_lucas()):
@@ -224,9 +224,9 @@ class TestGeneralKernel:
     def test_matches_signed_shoelace(self, c1, w0, w1, n, k, m):
         family = custom(c1, -1, w0, w1)  # W(n) = c1*W(n-1) + W(n-2)
         params = binet_params(family)
-        triangle = build_vertices(PolygonSpec(family, n, k, 3))
+        triangle = build_vertices(family, n, k, 3)
         signed = general_triangle_area(params, n, k).to_rational()
-        assert signed == shoelace_signed(triangle)
+        assert signed == shoelace_signed(*triangle)
         assert general_mgon_area(params, k, m) == oracle_area(family, n, k, m)
 
     @staticmethod

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from seqarea.geometry import PolygonSpec, build_vertices, shoelace_area
+from seqarea.geometry import build_vertices, shoelace_area
 from seqarea.sequences import (
     MAX_SEQUENCE_INDEX,
     RecurrenceSpec,
@@ -218,16 +218,16 @@ class TestDifferential:
 
 class TestBounds:
     def test_deep_polygon_memory_is_bounded_and_released(self):
-        spec = PolygonSpec(SequenceFamily.fibonacci(), 60000, 20, 10)
-        expected = shoelace_area(build_vertices(spec))
+        spec = SequenceFamily.fibonacci(), 60000, 20, 10
+        expected = shoelace_area(*build_vertices(*spec))
         tracemalloc.start()
         try:
             baseline = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            assert shoelace_area(build_vertices(spec)) == expected
+            assert shoelace_area(*build_vertices(*spec)) == expected
             peak = tracemalloc.get_traced_memory()[1] - baseline
             after_first = tracemalloc.get_traced_memory()[0]
-            assert shoelace_area(build_vertices(spec)) == expected
+            assert shoelace_area(*build_vertices(*spec)) == expected
             after_second = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()

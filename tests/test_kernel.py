@@ -1,5 +1,6 @@
-"""The integer shoelace kernel on vertex columns against the Polygon route,
-and the jump-coefficient area kernel against the shoelace of the vertex terms.
+"""The integer shoelace kernel on grid-slice columns against the columns of
+``build_vertices``, and the jump-coefficient area kernel against the shoelace
+of the vertex terms.
 
 ``cyclic_sum`` below is the reference: the cross-product loop written out
 over (x, y) pairs, independent of the kernel's difference form.
@@ -17,7 +18,6 @@ from hypothesis import strategies as st
 
 from seqarea import closedforms, geometry, sequences
 from seqarea.geometry import (
-    PolygonSpec,
     build_vertices,
     collinear,
     shoelace_signed,
@@ -96,15 +96,14 @@ def cells(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(family=FAMILIES, cell=cells(), first=st.integers(0, 20))
-def test_kernel_matches_polygon_route(family, cell, first):
+def test_kernel_matches_build_vertices_route(family, cell, first):
     n, k, m = cell
     first = min(first, n)
     seq = family_terms(family, first, reach(n, k, m) - first + 1)
     xs, ys = vertex_columns(seq, n - first, k, m)
     twice = twice_shoelace(xs, ys)
-    poly = build_vertices(PolygonSpec(family, n, k, m))
-    assert list(zip(xs, ys)) == list(poly.vertices)
-    assert twice == 2 * shoelace_signed(poly) == cyclic_sum(poly.vertices)
+    assert (xs, ys) == build_vertices(family, n, k, m)
+    assert twice == 2 * shoelace_signed(xs, ys) == cyclic_sum(list(zip(xs, ys)))
 
 
 @settings(max_examples=300, deadline=None)
@@ -138,7 +137,7 @@ def test_kernel_on_wide_columns(m, bits, seed):
     ys = [value() for _ in range(m)]
     want = cyclic_sum(list(zip(xs, ys)))
     assert twice_shoelace(xs, ys) == want
-    assert twice_shoelace(tuple(xs), tuple(ys)) == want  # shoelace_signed's columns
+    assert twice_shoelace(tuple(xs), tuple(ys)) == want  # any sequence type
 
 
 @st.composite
@@ -167,7 +166,7 @@ def area_requests(draw):
 @given(request=area_requests())
 def test_polygon_area_kernel_matches_shoelace(request):
     family, n, k, m = request
-    want = twice_shoelace(*vertex_columns(family_terms(family, n, 2 * m, step=k), 0, 1, m))
+    want = 2 * shoelace_signed(*build_vertices(family, n, k, m))
     with mock.patch.object(geometry, "_x_power", wraps=sequences._x_power) as jump:
         assert twice_polygon_area(family, n, k, m) == want  # signed
     assert jump.called == (
@@ -198,9 +197,9 @@ def test_zero_area_cells_judged_by_collinear(case, n, k):
     with mock.patch.object(closedforms, "mgon_area", _zero) if patched else nullcontext():
         report = verify_family(family, [n], [k], range(3, 7))
     for cell in report.cells:
-        poly = build_vertices(PolygonSpec(family, cell.n, cell.k, cell.m))
-        is_line = collinear(poly.vertices)
+        poly = build_vertices(family, cell.n, cell.k, cell.m)
+        is_line = collinear(*poly)
         assert cell.closed_area == 0
         assert cell.note == ("collinear" if is_line else "NOT COLLINEAR")
-        assert cell.match == (is_line and shoelace_signed(poly) == 0)
-        assert cell.oracle_area == abs(shoelace_signed(poly))
+        assert cell.match == (is_line and shoelace_signed(*poly) == 0)
+        assert cell.oracle_area == abs(shoelace_signed(*poly))

@@ -25,7 +25,7 @@ from seqarea.cli import (
     render_report,
     render_third_order_table,
 )
-from seqarea.geometry import PolygonSpec, build_vertices, shoelace_area
+from seqarea.geometry import build_vertices, shoelace_area
 from seqarea.numerics import rational_str
 from seqarea.sequences import RecurrenceSpec, SequenceFamily, family_terms
 from seqarea.verify import (
@@ -192,8 +192,8 @@ def test_gen_matches_reference_writer(fmt, count):
     assert render_gen(values, fmt) == want
 
 
-def reference_area(spec, method, oracle, closed, fmt) -> str:
-    where = {"family": spec.family.label, "n": spec.n, "k": spec.k, "m": spec.m}
+def reference_area(family, n, k, m, method, oracle, closed, fmt) -> str:
+    where = {"family": family.label, "n": n, "k": k, "m": m}
     found = {
         "oracle": optional_str(oracle),
         "closed": optional_str(closed),
@@ -205,9 +205,9 @@ def reference_area(spec, method, oracle, closed, fmt) -> str:
     return reference_json({**where, "method": method, **present})
 
 
-AREA_SPEC = PolygonSpec(awkward((2, 5)), 3, 2, 4)
-AREA_ORACLE = shoelace_area(build_vertices(AREA_SPEC))
-AREA_CLOSED = closedforms.mgon_area(AREA_SPEC.family, 2, 4)
+AREA_SPEC = awkward((2, 5)), 3, 2, 4  # family, n, k, m
+AREA_ORACLE = shoelace_area(*build_vertices(*AREA_SPEC))
+AREA_CLOSED = closedforms.mgon_area(AREA_SPEC[0], 2, 4)
 AREA_CASES = [
     ("oracle", AREA_ORACLE, None),
     ("closed", None, AREA_CLOSED),
@@ -220,8 +220,8 @@ AREA_CASES = [
 @pytest.mark.parametrize("case", AREA_CASES, ids=lambda c: f"{c[0]}-{c[2]}")
 def test_area_matches_reference_writer(fmt, case):
     method, oracle, closed = case
-    got = render_area(AREA_SPEC, method, oracle, closed, fmt)
-    assert got == reference_area(AREA_SPEC, method, oracle, closed, fmt)
+    got = render_area(*AREA_SPEC, method, oracle, closed, fmt)
+    assert got == reference_area(*AREA_SPEC, method, oracle, closed, fmt)
 
 
 @pytest.mark.parametrize("fmt", ["markdown", "json", "csv"])
@@ -230,13 +230,13 @@ def test_area_spells_a_match_once(fmt, closed, spellings):
     # At large n one area has tens of thousands of digits: a MATCH spells
     # them once and writes the token twice.  CSV's token is rational_str
     # itself, bound in ``_TOKENS``, so the spy goes there too.
-    want = render_area(AREA_SPEC, "both", AREA_ORACLE, closed, fmt)
+    want = render_area(*AREA_SPEC, "both", AREA_ORACLE, closed, fmt)
     spy = mock.Mock(wraps=rational_str)
     text, _, null = cli._TOKENS["csv"]
     with mock.patch.object(cli, "rational_str", spy), mock.patch.dict(
         cli._TOKENS, {"csv": (text, spy, null)}
     ):
-        got = render_area(AREA_SPEC, "both", AREA_ORACLE, closed, fmt)
+        got = render_area(*AREA_SPEC, "both", AREA_ORACLE, closed, fmt)
     assert spy.call_count == spellings
     assert got == want
 

@@ -330,6 +330,12 @@ class TestBinetEval:
             sign = 1 if n % 2 == 1 else -1
             assert binet_eval(p, -n) == sign * binet_eval(p, n)
 
+    @pytest.mark.parametrize("n", [Fraction(4), Fraction(5, 2), 2.0, "3"], ids=repr)
+    def test_non_integer_index_raises_type_error(self, n):
+        # An integer-valued Fraction too: the index is exact, like every other.
+        with pytest.raises(TypeError, match="integer"):
+            binet_eval(binet_params(SequenceFamily.fibonacci()), n)
+
 
 class TestGeneralizedReductions:
     def test_unit_parameters_give_fibonacci(self):
