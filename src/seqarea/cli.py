@@ -209,12 +209,21 @@ def render_area(
 def _cell_areas(
     cells: Iterable[VerificationCell], spell: Callable[[Fraction], str]
 ) -> Iterator[tuple[VerificationCell, str, str]]:
-    """Each cell with its oracle and closed areas spelled by ``spell``;
-    ``verify_family`` gives equal areas one shared Fraction, spelled once."""
+    """Each cell with its oracle and closed areas spelled by ``spell``.
+
+    ``verify_family`` gives every cell of one (k, m) one closed-form Fraction
+    and a matching oracle that same object, so each area object is spelled
+    once per call, looked up by identity (the cells keep it alive).
+    """
+    spelled: dict[int, str] = {}
     for c in cells:
-        oracle = spell(c.oracle_area)
-        same = c.closed_area is c.oracle_area
-        yield c, oracle, oracle if same else spell(c.closed_area)
+        oracle = spelled.get(id(c.oracle_area))
+        if oracle is None:
+            oracle = spelled[id(c.oracle_area)] = spell(c.oracle_area)
+        closed = spelled.get(id(c.closed_area))
+        if closed is None:
+            closed = spelled[id(c.closed_area)] = spell(c.closed_area)
+        yield c, oracle, closed
 
 
 def render_report(report: VerificationReport, fmt: str) -> str:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from itertools import product
 from typing import Iterable, Sequence
 
 from .sequences import (
@@ -64,6 +65,64 @@ def twice_shoelace(xs: Sequence[int], ys: Sequence[int]) -> int:
     return sum(
         map(operator.mul, xs, map(operator.sub, ys[1:] + ys[:1], ys[-1:] + ys[:-1]))
     )
+
+
+def twice_shoelace_plane(
+    seq: Sequence[int], ns: Iterable[int], ks: Iterable[int], ms: Iterable[int]
+) -> dict[int, tuple[list[int], list[bool]]]:
+    """For each m in ``ms``: :func:`twice_shoelace` of the m-gon
+    ``vertex_columns(seq, n, k, m)`` at every cell (n, k) of
+    ``product(ns, ks)``, in that order, and a flag per cell that is True
+    only if P_1 != P_0 and every vertex lies on the line through them.  A
+    False flag proves nothing; :func:`collinear` decides such a cell.
+
+    Each step reads one column, the next vertex coordinate of every cell,
+    and works on whole columns.  The difference-form terms
+    x_j*(y_(j+1) - y_(j-1)) for 1 <= j <= m-2 do not depend on m, so one
+    running sum of them serves every m, which adds its two wrap-around terms
+    x_0*(y_1 - y_(m-1)) + x_(m-1)*(y_0 - y_(m-2)).  The flags are a running
+    AND of (P_j - P_0) x (P_1 - P_0) == 0, taken while any cell holds it.
+    Every m must be at least 3, and ``seq`` must reach every cell's index
+    n + (2m-1)k.
+
+    >>> seq = family_terms(SequenceFamily.jacobsthal(), 0, 16)
+    >>> twice_shoelace_plane(seq, [1], [1, 2], [3, 4])
+    {3: ([0, 0], [True, True]), 4: ([0, 0], [True, True])}
+    """
+    mul, sub, add = operator.mul, operator.sub, operator.add
+    cells = list(product(ns, ks))
+
+    def column(t: int) -> list[int]:
+        # f(n + t*k) of every cell: x_i is column 2i, y_i column 2i+1.
+        return [seq[n + t * k] for n, k in cells]
+
+    x0, y0, x1, y1 = map(column, range(4))
+    dx1, dy1 = list(map(sub, x1, x0)), list(map(sub, y1, y0))
+    lines = [dx != 0 or dy != 0 for dx, dy in zip(dx1, dy1)]
+    total: list[int] = [0] * len(cells)  # the interior terms j = 1 .. i-1
+    # x_(i-1), y_(i-1) and y_(i-2) at vertex i.
+    x_back, y_back, y_back2 = x1, y1, y0
+    wanted = set(ms)
+    plane: dict[int, tuple[list[int], list[bool]]] = {}
+    for i in range(2, max(wanted)):
+        x, y = column(2 * i), column(2 * i + 1)
+        total = list(map(add, total, map(mul, x_back, map(sub, y, y_back2))))
+        if any(lines):
+            crosses = map(
+                operator.eq,
+                map(mul, map(sub, x, x0), dy1),
+                map(mul, map(sub, y, y0), dx1),
+            )
+            lines = list(map(operator.and_, lines, crosses))
+        if i + 1 in wanted:
+            wrap = map(
+                add,
+                map(mul, x0, map(sub, y1, y)),
+                map(mul, x, map(sub, y0, y_back)),
+            )
+            plane[i + 1] = (list(map(add, total, wrap)), lines)
+        x_back, y_back, y_back2 = x, y, y_back
+    return plane
 
 
 def twice_polygon_area(family: SequenceFamily, n: int, k: int, m: int) -> int:

@@ -269,11 +269,14 @@ MAX_THIRD_ORDER_K = 2_000
 
 
 def _extend(spec: RecurrenceSpec, window: list[int], count: int) -> list[int]:
-    """Append terms to ``window`` (at least ``order`` consecutive terms) by
-    forward iteration until it holds ``count``; return it."""
-    coefficients = spec.coefficients
-    while len(window) < count:
-        window.append(sum(c * window[-1 - i] for i, c in enumerate(coefficients)))
+    """Append terms to ``window`` by forward iteration until it holds
+    ``count``; return it.  A window that must grow holds at least ``order``
+    consecutive terms; one that already holds ``count`` is returned as is."""
+    d = spec.order
+    backward = spec.coefficients[::-1]  # c_d .. c_1, against f(n-d) .. f(n-1)
+    append, mul = window.append, operator.mul
+    for _ in range(count - len(window)):
+        append(sum(map(mul, backward, window[-d:])))
     return window
 
 

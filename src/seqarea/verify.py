@@ -15,7 +15,12 @@ from itertools import product
 from typing import Iterable, NamedTuple, Sequence
 
 from .closedforms import _polygonal_coefficient, closed_area_for
-from .geometry import collinear, twice_shoelace, vertex_columns
+from .geometry import (
+    collinear,
+    twice_shoelace,
+    twice_shoelace_plane,
+    vertex_columns,
+)
 from .sequences import (
     MAX_SEQUENCE_INDEX,
     MAX_TABLE_CELLS,
@@ -82,8 +87,10 @@ def verify_family(
     k middle, m inner; every cell reads one term slice f(0) .. f(largest
     index) shared by the whole grid.
 
-    The oracle is the shoelace sum of the cell's vertex columns, two strided
-    slices of that slice, compared with the closed form in integers.
+    The oracle is the shoelace sum of the cell's vertex terms, compared with
+    the closed form in integers.  :func:`twice_shoelace_plane` computes it
+    for every cell at once, with a collinearity flag; a zero-area cell the
+    flag does not prove goes to :func:`collinear` on its own columns.
     """
     closed_area_for(family, 1, 3)  # a family with no closed form fails first
     ns = _as_range(n_range, "n")
@@ -98,26 +105,36 @@ def verify_family(
         )
     seq = family_terms(family, 0, worst + 1)
     # Every cell's domain holds if the smallest n, k and m are in it; it is
-    # checked before the first closed form is read.
+    # checked before the first column or closed form is read.
     check_domain(n_lo, k_lo, m_lo)
-    # The closed area does not depend on n: one evaluation per (k, m).
-    closed_areas: dict[tuple[int, int], Fraction] = {}
+    # The closed area does not depend on n: one evaluation per (k, m), in
+    # the cells' order.  With it goes the twice-area an oracle must have to
+    # match it: None where twice the closed area is not an integer, 0 where
+    # the closed area is 0.
+    forms: dict[tuple[int, int], tuple[Fraction, int | None]] = {}
+    for k, m in product(ks, ms):
+        if (k, m) not in forms:
+            closed = closed_area_for(family, k, m)
+            twice, rest = divmod(2 * closed.numerator, closed.denominator)
+            forms[k, m] = (closed, None if rest else twice)
+    rows = {k: [(m, *forms[k, m]) for m in ms] for k in ks}
+    plane = twice_shoelace_plane(seq, ns, ks, ms)
+    twices = zip(*[plane[m][0] for m in ms])
+    lines = zip(*[plane[m][1] for m in ms])
+    new_cell = VerificationCell._make  # skips the slower keyword-default __new__
     cells = []
-    for n, k, m in product(ns, ks, ms):
-        xs, ys = vertex_columns(seq, n, k, m)
-        twice = abs(twice_shoelace(xs, ys))
-        closed = closed_areas.get((k, m))
-        if closed is None:
-            closed = closed_areas[k, m] = closed_area_for(family, k, m)
-        match = twice * closed.denominator == 2 * closed.numerator
-        # An equal oracle shares the closed form's Fraction.
-        oracle = closed if match else Fraction(twice, 2)
-        if closed:
-            cells.append(VerificationCell(n, k, m, oracle, closed, match))
-            continue
-        is_line = collinear(xs, ys)
-        note = "collinear" if is_line else "NOT COLLINEAR"
-        cells.append(VerificationCell(n, k, m, oracle, closed, is_line and match, note))
+    for (n, k), cell_twices, cell_lines in zip(product(ns, ks), twices, lines):
+        for (m, closed, twice), signed, line in zip(rows[k], cell_twices, cell_lines):
+            oracle_twice = abs(signed)
+            match = oracle_twice == twice
+            # An equal oracle shares the closed form's Fraction.
+            oracle = closed if match else Fraction(oracle_twice, 2)
+            note = ""
+            if twice == 0:
+                is_line = line or collinear(*vertex_columns(seq, n, k, m))
+                note = "collinear" if is_line else "NOT COLLINEAR"
+                match = is_line and match
+            cells.append(new_cell((n, k, m, oracle, closed, match, note)))
     passed = sum(c.match for c in cells)
     return VerificationReport(
         family=family,

@@ -21,6 +21,7 @@ from seqarea.sequences import (
     MAX_SEQUENCE_INDEX,
     RecurrenceSpec,
     SequenceFamily,
+    _extend,
     _small_table,
     binet_eval,
     binet_params,
@@ -115,6 +116,21 @@ class TestDifferential:
         want = forward(spec, start + max(count - 1, 0) * step + 1)[start::step][:count]
         assert terms(spec, start, count, step) == want
         assert family_terms(SequenceFamily.custom(spec), start, count, step) == want
+
+    @settings(max_examples=80, deadline=None)
+    @given(spec=custom_specs(), offset=st.integers(0, 30), count=st.integers(0, 60))
+    @example(spec=HEAD_SPECS[5], offset=0, count=1)
+    def test_extend_matches_forward_iteration(self, spec, offset, count):
+        # Forward iteration from any ``order`` consecutive terms; a window
+        # that already holds ``count`` terms, shorter than the order too,
+        # comes back as it is.
+        reference = forward(spec, offset + spec.order + count)
+        window = reference[offset : offset + spec.order]
+        assert _extend(spec, window, count) is window
+        assert window == reference[offset : offset + max(count, spec.order)]
+        for size in range(1, spec.order + 1):
+            short = reference[offset : offset + size]
+            assert _extend(spec, list(short), min(count, size)) == short
 
     @settings(max_examples=40, deadline=None)
     @given(spec=custom_specs(), start=st.integers(0, 3))

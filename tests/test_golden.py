@@ -577,6 +577,36 @@ GUARDRAIL_DIGESTS = {
     "csv": (265012, "0dd088dd85a537f01971f3ad205689c34434f8207ae36cb5fff2d68074b18d92"),
 }
 
+# The same guardrail grid over the other routes: the Jacobsthal pair, whose
+# 3,360 cells each have closed area 0 and pass by collinearity, and one
+# generalized and one polygonal family.
+FAMILY_GUARDRAIL_DIGESTS = [
+    pytest.param(family, fmt, digest, id=f"{family[0]}-{fmt}")
+    for family, digests in [
+        (("jacobsthal",), {
+            "markdown": (145319, "8f8148a573d297d9aa2185e31c5c473e6646fd7eaa2f912acc9b4d8f93598c56"),
+            "json": (588784, "472ede16057ecd1688e128d608af2c63f375e20c5e98e7f6ac468c72372ff95d"),
+            "csv": (125026, "c8fe7b201aa0ec35bd993fa6425d690349c7abe0254ab9058f670b2f52b121f4"),
+        }),
+        (("jacobsthal-lucas",), {
+            "markdown": (145325, "0bfa485a32fc579003b05063ced1f252c5e6a4ca901da70e8c6578b285a21945"),
+            "json": (608950, "3149e9008145fbe560912d77a78a4022230dfbe8bce92a0f05e7d4a6c759b3d3"),
+            "csv": (145186, "eddadf806f97258cddc9d6e52219127233573004a8508c1d7fc1b4c10be3611e"),
+        }),
+        (("generalized", "--s", "2", "--t", "3"), {
+            "markdown": (288675, "fbce67a73800d4830972570932cba7a191ac6d5eedd978cf13beb732d366fa88"),
+            "json": (765740, "2f4555681ec787021595087ea05530258ab7bce1fd5fb051b879e183829eb417"),
+            "csv": (308692, "5d7cc4eb2095682b06f3e7501b1a2e871ec7620fefaf900e709b800d434c1a88"),
+        }),
+        (("polygonal", "--rank", "5"), {
+            "markdown": (155490, "0f7c5ba540dfd5997f9b970852ca4c7f8edf77b08c12286b49c8a4e026ae9a79"),
+            "json": (622475, "93c972d095ebad8e1ba39b3a27c83b5c21264d2ce121ca4a2e339f99446bcc29"),
+            "csv": (158710, "3746882d3f90eb57aaca55000dd89a3b605b14e8ed9cac4f6eb77cf6175436e8"),
+        }),
+    ]
+    for fmt, digest in digests.items()
+]
+
 # SHA-256 and length of `area` output at large n, where the oracle multiplies
 # numbers of tens of thousands of bits: jump coefficients against small-index
 # shoelaces, or (at the 20,000 stride) strided vertex terms.  The last two
@@ -758,6 +788,14 @@ def test_guardrail_grid_digest(capsys, fmt):
     assert cli.main([*GUARDRAIL, "--format", fmt]) == 0
     out = capsys.readouterr().out.encode()
     assert (len(out), hashlib.sha256(out).hexdigest()) == GUARDRAIL_DIGESTS[fmt]
+
+
+@pytest.mark.parametrize("family, fmt, digest", FAMILY_GUARDRAIL_DIGESTS)
+def test_family_guardrail_grid_digest(capsys, family, fmt, digest):
+    grid = ("--n", "0..20", "--k", "1..20", "--m", "3..10")
+    assert cli.main(["verify", *family, *grid, "--format", fmt]) == 0
+    out = capsys.readouterr().out.encode()
+    assert (len(out), hashlib.sha256(out).hexdigest()) == digest
 
 
 @pytest.mark.parametrize("argv, digest", LARGE_N_DIGESTS)

@@ -1,6 +1,6 @@
 """The integer shoelace kernel on grid-slice columns against the columns of
-``build_vertices``, and the jump-coefficient area kernel against the shoelace
-of the vertex terms.
+``build_vertices``, the grid's plane kernel against it cell by cell, and the
+jump-coefficient area kernel against the shoelace of the vertex terms.
 
 ``cyclic_sum`` below is the reference: the cross-product loop written out
 over (x, y) pairs, independent of the kernel's difference form.
@@ -11,18 +11,21 @@ from __future__ import annotations
 import random
 from contextlib import nullcontext
 from fractions import Fraction
+from itertools import product
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqarea import closedforms, geometry, sequences
+from seqarea import closedforms, geometry, sequences, verify
 from seqarea.geometry import (
     build_vertices,
     collinear,
     shoelace_signed,
     twice_polygon_area,
     twice_shoelace,
+    twice_shoelace_plane,
     vertex_columns,
 )
 from seqarea.sequences import (
@@ -30,6 +33,7 @@ from seqarea.sequences import (
     FamilyKind,
     RecurrenceSpec,
     SequenceFamily,
+    UnsupportedFamilyError,
     family_terms,
     preset,
     reach,
@@ -203,3 +207,88 @@ def test_zero_area_cells_judged_by_collinear(case, n, k):
         assert cell.note == ("collinear" if is_line else "NOT COLLINEAR")
         assert cell.match == (is_line and shoelace_signed(*poly) == 0)
         assert cell.oracle_area == abs(shoelace_signed(*poly))
+
+
+@st.composite
+def grid_values(draw, lo, hi):
+    """One grid axis as ``verify_family`` takes it: an ascending or
+    descending range, a single value, or a list, unsorted and duplicated."""
+    a, b = sorted([draw(st.integers(lo, hi)), draw(st.integers(lo, hi))])
+    kind = draw(st.sampled_from(["range", "descending", "single", "list"]))
+    if kind == "range":
+        return range(a, b + 1)
+    if kind == "descending":
+        return range(b, a - 1, -1)
+    if kind == "single":
+        return [a]
+    values = draw(st.lists(st.integers(lo, hi), min_size=1, max_size=5))
+    return values + values[:1]
+
+
+GRIDS = {"ns": grid_values(0, 40), "ks": grid_values(1, 12), "ms": grid_values(3, 12)}
+
+
+def grid_slice(family, ns, ks, ms):
+    return family_terms(family, 0, reach(max(ns), max(ks), max(ms)) + 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(family=FAMILIES, **GRIDS)
+def test_plane_matches_cell_kernels(family, ns, ks, ms):
+    seq = grid_slice(family, ns, ks, ms)
+    plane = twice_shoelace_plane(seq, ns, ks, ms)
+    assert set(plane) == set(ms)
+    for cell, (n, k) in enumerate(product(ns, ks)):
+        for m in ms:
+            xs, ys = vertex_columns(seq, n, k, m)
+            twices, lines = plane[m]
+            assert twices[cell] == twice_shoelace(xs, ys)  # signed
+            # The flag proves collinearity, and holds wherever P_1 != P_0 does.
+            apart = (xs[0], ys[0]) != (xs[1], ys[1])
+            assert lines[cell] is (apart and collinear(xs, ys))
+
+
+@settings(max_examples=150, deadline=None)
+@given(family=FAMILIES, **GRIDS)
+def test_report_matches_per_cell_route(family, ns, ks, ms):
+    # A family with no closed form gets 0 for every (k, m), so each of its
+    # cells goes through the collinearity check.
+    try:
+        closedforms.mgon_area(family, 1, 3)
+        patch = nullcontext()
+    except UnsupportedFamilyError:
+        patch = mock.patch.object(closedforms, "mgon_area", _zero)
+    with patch:
+        report = verify_family(family, ns, ks, ms)
+        closed = {(k, m): closedforms.mgon_area(family, k, m) for k in ks for m in ms}
+    seq = grid_slice(family, ns, ks, ms)
+    want = []
+    for n, k, m in product(ns, ks, ms):
+        xs, ys = vertex_columns(seq, n, k, m)
+        oracle = Fraction(abs(twice_shoelace(xs, ys)), 2)
+        match, note = oracle == closed[k, m], ""
+        if closed[k, m] == 0:
+            is_line = collinear(xs, ys)
+            match, note = match and is_line, "collinear" if is_line else "NOT COLLINEAR"
+        want.append(verify.VerificationCell(n, k, m, oracle, closed[k, m], match, note))
+    assert list(report.cells) == want
+
+
+ALL_ZERO = SequenceFamily.custom(RecurrenceSpec((1, 0), (0, 0), "zero"))
+
+
+@pytest.mark.parametrize(
+    "family, fallbacks",
+    [(SequenceFamily.jacobsthal(), 0), (SequenceFamily.jacobsthal_lucas(), 0), (ALL_ZERO, 3360)],
+    ids=["jacobsthal", "jacobsthal-lucas", "all-zero"],
+)
+def test_collinear_decides_only_unflagged_cells(family, fallbacks):
+    # On the guardrail grid the flags prove every Jacobsthal cell collinear;
+    # an all-zero family has P_1 = P_0 everywhere and falls back every time.
+    zero = mock.patch.object(closedforms, "mgon_area", _zero)
+    with zero if family is ALL_ZERO else nullcontext():
+        with mock.patch.object(verify, "collinear", wraps=collinear) as fallback:
+            report = verify_family(family, range(21), range(1, 21), range(3, 11))
+    assert (len(report.cells), report.fail_count) == (3360, 0)
+    assert {cell.note for cell in report.cells} == {"collinear"}
+    assert fallback.call_count == fallbacks
