@@ -37,8 +37,8 @@ def _horadam(family: SequenceFamily) -> tuple[RecurrenceSpec, int, int]:
     """(U, e, Q) of a family W(n) = P*W(n-1) - Q*W(n-2): the Lucas sequence
     U(0) = 0, U(1) = 1 of (P, Q), and Horadam's characteristic
     e = P*W0*W1 - W1^2 - Q*W0^2."""
-    spec = None if family.kind is FamilyKind.POLYGONAL else preset(family)
-    if spec is None or spec.order != 2:
+    spec = preset(family)
+    if spec.order != 2:
         raise UnsupportedFamilyError(f"no closed form for {family.label}")
     (p, c2), (w0, w1) = spec.coefficients, spec.initial_terms
     u = RecurrenceSpec((p, c2), (0, 1), "U")
@@ -61,7 +61,7 @@ def twice_signed_area(family: SequenceFamily, n: int, k: int, m: int) -> int:
     With the vertices of :func:`~seqarea.geometry.build_vertices` (n, k, m)
     and U, e, Q as in Horadam (Fibonacci Quart. 3 (1965) 161-176), it is
     ``e * Q^n * U(k) * (U(2k) * sum(Q^(2ik), i = 0..m-2) - U((2m-2)k))``,
-    sign included.  Third-order and polygonal families raise
+    sign included.  Third-order families, polygonal among them, raise
     :class:`UnsupportedFamilyError`.
     """
     check_domain(n)

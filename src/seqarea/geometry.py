@@ -15,7 +15,6 @@ from typing import Iterable, Sequence
 
 from .sequences import (
     MAX_SEQUENCE_INDEX,
-    FamilyKind,
     SequenceFamily,
     _x_power,
     check_domain,
@@ -137,16 +136,14 @@ def twice_polygon_area(family: SequenceFamily, n: int, k: int, m: int) -> int:
     M is small-index work; only the d products a_i * (M[i] . a) are big.
 
     This route is taken where the polygons at starts 0 .. d-1 lie in the
-    small-index table.  Past it, and for figurate families, a is e_0 at
-    start n: M[0][0] alone, the shoelace of the 2m vertex terms fetched by
-    one strided window.
+    small-index table.  Past it, a is e_0 at start n: M[0][0] alone, the
+    shoelace of the 2m vertex terms fetched by one strided window.
     """
     check_domain(n, k, m)
+    spec = preset(family)
     weights, start = [1], n
-    if family.kind is not FamilyKind.POLYGONAL:
-        spec = preset(family)
-        if reach(spec.order - 1, k, m) <= MAX_SEQUENCE_INDEX:
-            weights, start = _x_power(spec, n), 0
+    if reach(spec.order - 1, k, m) <= MAX_SEQUENCE_INDEX:
+        weights, start = _x_power(spec, n), 0
     columns = [build_vertices(family, start + i, k, m) for i in range(len(weights))]
     return sum(
         a * sum(b * twice_shoelace(xs, ys) for b, (_, ys) in zip(weights, columns))

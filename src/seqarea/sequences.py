@@ -1,11 +1,13 @@
-"""Integer sequence engines: linear recurrences, figurate numbers, Binet forms.
+"""Integer sequences: one linear-recurrence engine and the closed forms that check it.
 
-Every named family is generated two independent ways where possible: from
-its integer recurrence (:func:`terms`, which jumps to an index by powering
-x modulo the characteristic polynomial, then iterates forward or strides)
-and by exact evaluation of its closed Binet form in a quadratic field
-(:func:`binet_eval`).  The two routes are kept separate so each can serve as
-an oracle for the other.
+Every family, figurate numbers included, is a linear recurrence, and its
+terms come from one engine (:func:`terms`, which jumps to an index by
+powering x modulo the characteristic polynomial, then iterates forward or
+strides).  Where a family has a closed form it is a second, independent
+route: exact evaluation of the Binet form in a quadratic field
+(:func:`binet_eval`) for the second-order families, the figurate formula
+(:func:`polygonal_number`) for polygonal numbers.  The routes are kept
+separate so each can serve as an oracle for the other.
 """
 
 from __future__ import annotations
@@ -102,8 +104,10 @@ class SequenceFamily:
     kind does not take must be None, ``generalized`` needs s and t,
     ``polygonal`` a rank >= 3, ``custom`` a spec, and ``padovan`` gets the
     initial triple (1, 1, 1) unless given one.  A non-integer s, t, rank or
-    initial term raises ``TypeError``.  The family's recurrence (none for
-    ``polygonal``) is built once, here, and :func:`preset` returns it.
+    initial term raises ``TypeError``.  The family's recurrence is built
+    once, here, and :func:`preset` returns it: the figurate numbers of a
+    rank are P(n) = 3P(n-1) - 3P(n-2) + P(n-3) from 0, 1, rank, quadratic
+    in n and so with characteristic polynomial (x - 1)^3.
     """
 
     kind: FamilyKind
@@ -112,7 +116,7 @@ class SequenceFamily:
     rank: int | None = None
     initial: tuple[int, ...] | None = None
     spec: RecurrenceSpec | None = None
-    _recurrence: RecurrenceSpec | None = field(init=False, compare=False, repr=False)
+    _recurrence: RecurrenceSpec = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         for name, owner in _FIELD_OWNERS.items():
@@ -120,7 +124,6 @@ class SequenceFamily:
                 raise ValueError(
                     f"parameter {name!r} applies only to family '{owner.value}'"
                 )
-        recurrence = _PRESETS.get(self.kind)  # None for polygonal
         if self.kind is FamilyKind.GENERALIZED_FIBONACCI:
             if self.s is None or self.t is None:
                 raise ValueError("generalized family requires s and t")
@@ -131,6 +134,7 @@ class SequenceFamily:
             if self.rank is None:
                 raise ValueError("polygonal family requires rank >= 3")
             check_domain(rank=self.rank)
+            recurrence = RecurrenceSpec((3, -3, 1), (0, 1, self.rank), self.label)
         elif self.kind is FamilyKind.PADOVAN:
             initial = DEFAULT_PADOVAN_INITIAL if self.initial is None else self.initial
             if len(initial) != 3:
@@ -141,6 +145,8 @@ class SequenceFamily:
             if self.spec is None:
                 raise ValueError("custom family requires a RecurrenceSpec")
             recurrence = self.spec
+        else:
+            recurrence = _PRESETS[self.kind]
         object.__setattr__(self, "_recurrence", recurrence)
 
     @classmethod
@@ -207,11 +213,7 @@ class SequenceFamily:
 
 
 def preset(family: SequenceFamily) -> RecurrenceSpec:
-    """The fixed recurrence behind a family (polygonal has none: closed form only)."""
-    if family._recurrence is None:
-        raise UnsupportedFamilyError(
-            f"{family.kind.value} terms come from a closed form, not a fixed recurrence"
-        )
+    """The recurrence behind a family, built once by the family itself."""
     return family._recurrence
 
 
@@ -363,17 +365,6 @@ def _small_table(spec: RecurrenceSpec) -> tuple[int, ...]:
     return tuple(_extend(spec, list(spec.initial_terms), MAX_SEQUENCE_INDEX + 1))
 
 
-def _check_window(start: int, count: int, step: int) -> None:
-    """Refuse a negative start or count or a step below 1; a value that is
-    not an integer raises ``TypeError``."""
-    if operator.index(start) < 0:
-        raise ValueError(f"term index must be >= 0, got {start}")
-    if operator.index(count) < 0:
-        raise ValueError(f"term count must be >= 0, got {count}")
-    if operator.index(step) < 1:
-        raise ValueError(f"term step must be >= 1, got {step}")
-
-
 def terms(spec: RecurrenceSpec, start: int, count: int, step: int = 1) -> list[int]:
     """Exact f(start), f(start+step), .. f(start+(count-1)*step) of a recurrence.
 
@@ -382,9 +373,15 @@ def terms(spec: RecurrenceSpec, start: int, count: int, step: int = 1) -> list[i
     polynomial and strides by x**step, fetching no term between two it
     returns; with ``step`` 1 it strides only over the first ``order`` terms
     and iterates forward from them.  Memory holds only what is returned,
-    never the prefix before it.
+    never the prefix before it.  A negative start or count or a step below
+    1 is refused; a value that is not an integer raises ``TypeError``.
     """
-    _check_window(start, count, step)
+    if operator.index(start) < 0:
+        raise ValueError(f"term index must be >= 0, got {start}")
+    if operator.index(count) < 0:
+        raise ValueError(f"term count must be >= 0, got {count}")
+    if operator.index(step) < 1:
+        raise ValueError(f"term step must be >= 1, got {step}")
     if start + (count - 1) * step <= MAX_SEQUENCE_INDEX:
         return list(_small_table(spec)[start : start + count * step : step])
     if step > 1:
@@ -400,19 +397,14 @@ def term(spec: RecurrenceSpec, n: int) -> int:
 def polygonal_number(rank: int, n: int) -> int:
     """The n-th figurate number of the given rank (3 triangular, 4 square, ...).
 
-    Closed form n*(n*(rank-2) - (rank-4))/2, which is always an integer.
+    Closed form n*(n*(rank-2) - (rank-4))/2, which is always an integer: a
+    route independent of the family's recurrence, which tests compare the
+    engine against.  A rank or n that is not an integer raises ``TypeError``.
     """
     check_domain(rank=rank)
-    if n < 0:
+    if operator.index(n) < 0:
         raise ValueError(f"polygonal index must be >= 0, got {n}")
-    return _figurate(rank, n, 1)[0]
-
-
-def _figurate(rank: int, start: int, count: int, step: int = 1) -> list[int]:
-    """Figurate numbers start, start+step, .. (``count`` of them) of a rank
-    already checked."""
-    a, b = rank - 2, rank - 4
-    return [n * (n * a - b) // 2 for n in range(start, start + count * step, step)]
+    return n * (n * (rank - 2) - (rank - 4)) // 2
 
 
 def family_term(family: SequenceFamily, n: int) -> int:
@@ -423,12 +415,8 @@ def family_term(family: SequenceFamily, n: int) -> int:
 def family_terms(
     family: SequenceFamily, start: int, count: int, step: int = 1
 ) -> list[int]:
-    """Terms start, start+step, .. (``count`` of them) of any family, from one
-    engine call; :func:`terms` checks a recurrence family's window."""
-    if family.kind is FamilyKind.POLYGONAL:
-        assert family.rank is not None
-        _check_window(start, count, step)
-        return _figurate(family.rank, start, count, step)
+    """Terms start, start+step, .. (``count`` of them) of any family: one
+    :func:`terms` call on its recurrence."""
     return terms(preset(family), start, count, step)
 
 
@@ -458,8 +446,9 @@ def binet_params(family: SequenceFamily) -> BinetParams:
     terms W0, W1: a = (W1 - W0*beta)/(r - beta) and
     b = -(W0*r - W1)/(r - beta).  Fibonacci-type families land in Q(sqrt(5))
     with r the golden ratio, Pell-type families in Q(sqrt(2)) with
-    r = 1 + sqrt(2).  Jacobsthal (c2 = 2), the third-order families,
-    polygonal numbers and c1 = 0 (rational roots 1 and -1) have no such form.
+    r = 1 + sqrt(2).  Jacobsthal (c2 = 2), the third-order recurrences
+    (polygonal numbers among them) and c1 = 0 (rational roots 1 and -1) have
+    no such form.
 
     Derived once per family value, as ``closedforms._horadam`` is: equal
     families (custom specs that differ only in ``label`` too) get the same
@@ -467,8 +456,8 @@ def binet_params(family: SequenceFamily) -> BinetParams:
     ``QuadElem`` fields are immutable.  An unsupported family raises on
     every call; errors are not cached.
     """
-    spec = None if family.kind is FamilyKind.POLYGONAL else preset(family)
-    if spec is None or spec.order != 2 or spec.coefficients[1] != 1:
+    spec = preset(family)
+    if spec.order != 2 or spec.coefficients[1] != 1:
         raise UnsupportedFamilyError(f"no quadratic Binet form for {family.label}")
     c1 = spec.coefficients[0]
     s, d = _split_square(c1 * c1 + 4)

@@ -73,6 +73,13 @@ def _ends(values: Sequence[int]) -> tuple[int, int]:
     return min(ends), max(ends)
 
 
+def _size(values: Sequence[int]) -> int:
+    """``len`` of a nonempty axis, which overflows past sys.maxsize for a range."""
+    if isinstance(values, range):
+        return (values[-1] - values[0]) // values.step + 1
+    return len(values)
+
+
 def verify_family(
     family: SequenceFamily,
     n_range: Iterable[int],
@@ -253,9 +260,10 @@ def polygonal_table(
     """
     ms = _as_range(m_range, "m")
     ranks = _as_range(rank_range, "rank")
-    if len(ms) * len(ranks) > MAX_TABLE_CELLS:
+    size = _size(ms) * _size(ranks)
+    if size > MAX_TABLE_CELLS:
         raise ValueError(
-            f"table has {len(ms) * len(ranks)} cells, beyond the "
+            f"table has {size} cells, beyond the "
             f"{MAX_TABLE_CELLS} table-cell budget"
         )
     # Every cell's domain holds if the smallest m and rank are in it.

@@ -457,6 +457,11 @@ REFUSALS = [
      "grid reaches sequence index 500, beyond the 400 guardrail"),
     (["table", "polygonal", "--m", "3", "--rank", f"3..{3 + MAX_TABLE_CELLS}"],
      "table has 160001 cells, beyond the 160000 table-cell budget"),
+    # a range longer than sys.maxsize is counted, not measured with len()
+    (["table", "polygonal", "--m", f"3..{10**20}"],
+     "table has 499999999999999999990 cells, beyond the 160000 table-cell budget"),
+    (["table", "polygonal", "--rank", f"3..{10**20}"],
+     "table has 499999999999999999990 cells, beyond the 160000 table-cell budget"),
     (["table", "third-order", "--n", "0", "--k-max", str(MAX_THIRD_ORDER_K + 1)],
      "k_max 2001 is beyond the 2000 stride cap"),
     # the vertex domain

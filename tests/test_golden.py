@@ -656,6 +656,27 @@ LARGE_N_DIGESTS = [
         (13201, "501c04be09e4af89de288f12e5729eb2b59d48f0b75444202fc05e054ccbd9aa"),
         id="tribonacci-budget-oracle-markdown",
     ),
+    # Polygonal output near the term-index budget: the jump-coefficient
+    # route, the direct route at a large stride and one deep forward `gen`
+    # window, hashed while polygonal terms still came from the figurate
+    # formula rather than the recurrence (3, -3, 1).
+    pytest.param(
+        ("area", "polygonal", "--rank", "7", "--n", "99000", "--k", "20", "--m", "10",
+         "--method", "both"),
+        (44, "91ba1ac04f2394d518978d80b35209261617792736f076f957956f216f392198"),
+        id="polygonal-budget-both-markdown",
+    ),
+    pytest.param(
+        ("area", "polygonal", "--rank", "5", "--n", "0", "--k", "20000", "--m", "3",
+         "--method", "both", "--format", "json"),
+        (177, "9f6b555a6235babb76965133d42c9f2a0a48dc53470a12c547b1288b5e4f5b4d"),
+        id="polygonal-large-stride-both-json",
+    ),
+    pytest.param(
+        ("gen", "polygonal", "--rank", "9", "--count", "100001", "--format", "csv"),
+        (1710737, "2377525870d2e7094ac828bd8d387b2f9fc626e0b84a7bf4b4b7794f3dc116de"),
+        id="polygonal-gen-budget-csv",
+    ),
 ]
 
 

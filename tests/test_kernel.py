@@ -30,7 +30,6 @@ from seqarea.geometry import (
 )
 from seqarea.sequences import (
     MAX_SEQUENCE_INDEX,
-    FamilyKind,
     RecurrenceSpec,
     SequenceFamily,
     UnsupportedFamilyError,
@@ -149,7 +148,7 @@ def area_requests(draw):
     """(family, n, k, m) on either side of the jump-coefficient route's rule
     (2m-1)k + d - 1 <= MAX_SEQUENCE_INDEX, or exactly on it."""
     family = draw(FAMILIES)
-    d = 1 if family.kind is FamilyKind.POLYGONAL else preset(family).order
+    d = preset(family).order
     free = MAX_SEQUENCE_INDEX - (d - 1)  # the largest span the route takes
     side = draw(st.sampled_from(["edge", "past edge", "inside", "outside"]))
     if side in ("edge", "past edge"):
@@ -173,10 +172,22 @@ def test_polygon_area_kernel_matches_shoelace(request):
     want = 2 * shoelace_signed(*build_vertices(family, n, k, m))
     with mock.patch.object(geometry, "_x_power", wraps=sequences._x_power) as jump:
         assert twice_polygon_area(family, n, k, m) == want  # signed
-    assert jump.called == (
-        family.kind is not FamilyKind.POLYGONAL
-        and reach(preset(family).order - 1, k, m) <= MAX_SEQUENCE_INDEX
-    )
+    assert jump.called == (reach(preset(family).order - 1, k, m) <= MAX_SEQUENCE_INDEX)
+
+
+@pytest.mark.parametrize(
+    "n, k, m, jumps",
+    [(99_000, 20, 10, True), (0, 20_000, 3, False)],
+    ids=["jump-route", "direct-route"],
+)
+def test_polygonal_area_kernel_matches_figurate_form(n, k, m, jumps):
+    # Polygonal numbers are the order-3 recurrence (3, -3, 1): near the
+    # term-index budget they take the same two routes as any other family.
+    family = SequenceFamily.polygonal(7)
+    with mock.patch.object(geometry, "_x_power", wraps=sequences._x_power) as jump:
+        twice = twice_polygon_area(family, n, k, m)
+    assert abs(twice) == 2 * closedforms.polygonal_mgon_area(7, k, m)
+    assert jump.called == jumps
 
 
 def _zero(family, k, m):

@@ -76,9 +76,16 @@ class TestPresets:
         spec = preset(SequenceFamily.generalized(2, 3))
         assert [term(spec, n) for n in range(6)] == [1, 2, 3, 5, 8, 13]
 
-    def test_polygonal_has_no_recurrence(self):
-        with pytest.raises(UnsupportedFamilyError):
-            preset(SequenceFamily.polygonal(3))
+    @pytest.mark.parametrize("rank", [3, 7, 10**30])
+    def test_polygonal_is_the_recurrence_of_x_minus_1_cubed(self, rank):
+        spec = preset(SequenceFamily.polygonal(rank))
+        assert spec == RecurrenceSpec((3, -3, 1), (0, 1, rank))
+        # The engine against the figurate formula: across the small-index
+        # table's edge and past the jump to a deep start.
+        for start in (398, 99_998):
+            assert terms(spec, start, 5) == [
+                polygonal_number(rank, n) for n in range(start, start + 5)
+            ]
 
     def test_custom_roundtrip(self):
         spec = RecurrenceSpec((3, -1), (1, 4), "demo")
@@ -360,6 +367,8 @@ class TestValidation:
             lambda: polygonal_mgon_area(3, 1, Fraction(3)),
             lambda: twice_signed_area(SequenceFamily.pell(), 2.0, 1, 3),
             lambda: polygonal_number(3.5, 4),
+            lambda: polygonal_number(3, 2.0),
+            lambda: polygonal_number(3, Fraction(2)),
             lambda: terms(RecurrenceSpec((1.5, 1), (0, 1)), 0, 5),
             lambda: RecurrenceSpec((1, 1), (0, 1.0)),
             lambda: mgon_area(SequenceFamily.generalized(1.5, 2), 1, 3),
@@ -368,7 +377,8 @@ class TestValidation:
             lambda: SequenceFamily.polygonal(5.0),
         ],
         ids=[
-            "rank", "k", "m", "n", "figurate-rank", "coefficient", "initial-term",
+            "rank", "k", "m", "n", "figurate-rank", "figurate-n", "figurate-n-fraction",
+            "coefficient", "initial-term",
             "s", "t", "padovan-initial", "family-rank",
         ],
     )
