@@ -19,7 +19,6 @@ import csv
 import functools
 import io
 import sys
-from fractions import Fraction
 from itertools import islice
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, Iterator, Sequence
@@ -101,11 +100,19 @@ def _csv_quote(text: str) -> str:
 
 _FLAGS = ("false", "true")  # indexed by a bool
 
-# Per format, the token of any string, of a rational and of None;
-# ``rational_str`` output (digits, ``-`` and ``/``) needs no escaping.
-_TOKENS: dict[str, tuple[Callable[[str], str], Callable[[Fraction], str], str]] = {
-    "json": (encode_basestring_ascii, lambda x: f'"{rational_str(x)}"', "null"),
-    "csv": (_csv_quote, rational_str, ""),
+
+def _area(twice: int) -> str:
+    """The area |twice|/2 of a polygon of signed twice-area ``twice``,
+    spelled as :func:`~seqarea.numerics.rational_str` spells it."""
+    area = abs(twice)
+    return f"{area}/2" if area & 1 else str(area >> 1)
+
+
+# Per format, the token of any string, of a signed twice-area's area and of
+# None; an area's text (digits and ``/``) needs no escaping.
+_TOKENS: dict[str, tuple[Callable[[str], str], Callable[[int], str], str]] = {
+    "json": (encode_basestring_ascii, lambda twice: f'"{_area(twice)}"', "null"),
+    "csv": (_csv_quote, _area, ""),
 }
 
 
@@ -174,14 +181,15 @@ def render_area(
     k: int,
     m: int,
     method: str,
-    oracle: Fraction | None,
-    closed: Fraction | None,
+    oracle: int | None,
+    closed: int | None,
     fmt: str,
 ) -> str:
+    """The area from signed twice-areas; ``both`` matches only equal ones."""
     match = oracle == closed if method == "both" else None
     # Equal areas (a MATCH) are spelled once: at large n one area's digits
     # are a large share of the request.
-    spell = rational_str if fmt == "markdown" else _TOKENS[fmt][1]
+    spell = _area if fmt == "markdown" else _TOKENS[fmt][1]
     oracle_text = None if oracle is None else spell(oracle)
     closed_text = oracle_text if match else None if closed is None else spell(closed)
     if fmt != "markdown":
@@ -207,23 +215,16 @@ def render_area(
 
 
 def _cell_areas(
-    cells: Iterable[VerificationCell], spell: Callable[[Fraction], str]
+    cells: Iterable[VerificationCell], spell: Callable[[int], str]
 ) -> Iterator[tuple[VerificationCell, str, str]]:
     """Each cell with its oracle and closed areas spelled by ``spell``.
 
-    ``verify_family`` gives every cell of one (k, m) one closed-form Fraction
-    and a matching oracle that same object, so each area object is spelled
-    once per call, looked up by identity (the cells keep it alive).
+    A grid holds few distinct twice-areas (one S * q**n per (k, m) and sign
+    of q**n, which every matching oracle repeats), so each is spelled once
+    per call, looked up by value.
     """
-    spelled: dict[int, str] = {}
-    for c in cells:
-        oracle = spelled.get(id(c.oracle_area))
-        if oracle is None:
-            oracle = spelled[id(c.oracle_area)] = spell(c.oracle_area)
-        closed = spelled.get(id(c.closed_area))
-        if closed is None:
-            closed = spelled[id(c.closed_area)] = spell(c.closed_area)
-        yield c, oracle, closed
+    spelled = functools.cache(spell)
+    return ((c, spelled(c.oracle_twice), spelled(c.closed_twice)) for c in cells)
 
 
 def render_report(report: VerificationReport, fmt: str) -> str:
@@ -231,18 +232,18 @@ def render_report(report: VerificationReport, fmt: str) -> str:
     if fmt == "markdown":
         rows = [
             (c.n, c.k, c.m, oracle, closed, "MATCH" if c.match else "MISMATCH", c.note)
-            for c, oracle, closed in _cell_areas(report.cells, rational_str)
+            for c, oracle, closed in _cell_areas(report.cells, _area)
         ]
         return (
             f"grid: {report.grid}\n"
             f"pass_count: {report.pass_count}\n"
             f"fail_count: {report.fail_count}\n\n"
         ) + _write_markdown(("n", "k", "m", "oracle", "closed", "match", "note"), rows)
-    text, rational, _ = _TOKENS[fmt]
+    text, area, _ = _TOKENS[fmt]
     label = text(report.family.label)
     rows = [
         (label, c.n, c.k, c.m, oracle, closed, _FLAGS[c.match], text(c.note))
-        for c, oracle, closed in _cell_areas(report.cells, rational)
+        for c, oracle, closed in _cell_areas(report.cells, area)
     ]
     header = ("family", "n", "k", "m", "oracle", "closed", "match", "note")
     if fmt == "csv":
@@ -303,12 +304,13 @@ def render_polygonal_table(table: PolygonalTable, fmt: str) -> str:
 
 def render_third_order_table(table: ThirdOrderTable, fmt: str) -> str:
     if fmt != "markdown":
-        text, rational, null = _TOKENS[fmt]
+        text, area, null = _TOKENS[fmt]
         header = ("column", "k", "computed", "published", "status")
         rows = [
             (
-                text(c.column), c.k, rational(c.computed),
-                null if c.published is None else rational(c.published), text(c.status),
+                text(c.column), c.k, area(c.twice),
+                null if c.published is None else text(rational_str(c.published)),
+                text(c.status),
             )
             for c in table.cells
         ]
@@ -323,8 +325,8 @@ def render_third_order_table(table: ThirdOrderTable, fmt: str) -> str:
         return _write_json(fields, header)
 
     def cell_text(c: ThirdOrderCell) -> str:
-        text = rational_str(c.computed)
-        if c.status and c.published is not None and c.computed != c.published:
+        text = _area(c.twice)
+        if c.status and c.published is not None and abs(c.twice) != 2 * c.published:
             return f"{text} [{c.status}; published {rational_str(c.published)}]"
         if c.status:
             return f"{text} [{c.status}]"
@@ -370,9 +372,10 @@ def _cmd_area(args: argparse.Namespace) -> int:
     check_term_budget(reach(n, k, m))
     oracle = closed = None
     if args.method in ("oracle", "both"):
-        oracle = Fraction(abs(twice_polygon_area(family, n, k, m)), 2)
+        oracle = twice_polygon_area(family, n, k, m)
     if args.method in ("closed", "both"):
-        closed = closed_area_for(family, k, m)
+        twice, q = closed_area_for(family, k, m)
+        closed = twice * q**n
     text = render_area(family, n, k, m, args.method, oracle, closed, args.format)
     _emit(text, args.out)
     if args.method == "both" and oracle != closed:

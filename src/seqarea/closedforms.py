@@ -1,12 +1,12 @@
 """Closed-form area expressions for polygons on sequence-term vertices.
 
-Two independent layers are provided on purpose.  The integer forms
-(:func:`twice_signed_area` for every second-order recurrence and
-:func:`polygonal_mgon_area` for figurate numbers) use only integer sequence
-terms; :func:`mgon_area` picks the one for a family, and
-:func:`closed_triangle_area`, :func:`polygonal_triangle_area` and
-:func:`closed_area_for` are calls of it or of the figurate form.  The
-general formulas
+Two independent layers are provided on purpose.  The integer forms use only
+integer sequence terms, and :func:`closed_area_for` is their one dispatch:
+twice the signed m-gon area at start n is S * q^n, from Horadam's form for
+a second-order family and from the figurate coefficient for polygonal
+numbers.  :func:`twice_signed_area`, :func:`mgon_area` (the area where it
+does not depend on n), :func:`closed_triangle_area` and the ``polygonal_*``
+forms are views of it.  The general formulas
 (:func:`general_triangle_area`, :func:`general_mgon_area`) evaluate the
 same area from the Binet parameters in exact quadratic-field arithmetic and
 must agree with both the integer forms and the shoelace oracle.
@@ -45,9 +45,23 @@ def _horadam(family: SequenceFamily) -> tuple[RecurrenceSpec, int, int]:
     return u, p * w0 * w1 - w1 * w1 + c2 * w0 * w0, -c2
 
 
-def _twice_area_at_zero(family: SequenceFamily, k: int, m: int) -> tuple[int, int]:
-    """Twice the signed m-gon area at n = 0, and Q."""
-    check_domain(0, k, m)
+def closed_area_for(family: SequenceFamily, k: int, m: int) -> tuple[int, int]:
+    """(S, q): twice the signed closed-form m-gon area of stride k at any
+    start n is S * q**n.
+
+    With U, e, Q as in Horadam (Fibonacci Quart. 3 (1965) 161-176), a
+    second-order family has q = Q and
+    ``S = e * U(k) * (U(2k) * sum(Q^(2ik), i = 0..m-2) - U((2m-2)k))``.
+    Figurate vertices run clockwise: S = -2 * c * k^4 for the polygonal
+    coefficient c, and q = 1.  Other families raise UnsupportedFamilyError.
+
+    >>> closed_area_for(SequenceFamily.fibonacci(), 2, 3)
+    (15, -1)
+    """
+    check_domain(k=k, m=m)
+    if family.kind is FamilyKind.POLYGONAL:
+        assert family.rank is not None
+        return -2 * _polygonal_coefficient(family.rank, m) * k**4, 1
     u, e, q = _horadam(family)
     q2k = q ** (2 * k)
     series = m - 1 if q2k == 1 else (q2k ** (m - 1) - 1) // (q2k - 1)
@@ -56,33 +70,23 @@ def _twice_area_at_zero(family: SequenceFamily, k: int, m: int) -> tuple[int, in
 
 
 def twice_signed_area(family: SequenceFamily, n: int, k: int, m: int) -> int:
-    """Twice the signed area of the m-gon on a second-order family's terms.
-
-    With the vertices of :func:`~seqarea.geometry.build_vertices` (n, k, m)
-    and U, e, Q as in Horadam (Fibonacci Quart. 3 (1965) 161-176), it is
-    ``e * Q^n * U(k) * (U(2k) * sum(Q^(2ik), i = 0..m-2) - U((2m-2)k))``,
-    sign included.  Third-order families, polygonal among them, raise
-    :class:`UnsupportedFamilyError`.
-    """
+    """Twice the signed area of the m-gon of
+    :func:`~seqarea.geometry.build_vertices` (n, k, m), sign included:
+    S * q**n of :func:`closed_area_for`."""
     check_domain(n)
-    twice, q = _twice_area_at_zero(family, k, m)
+    twice, q = closed_area_for(family, k, m)
     return twice * q**n
 
 
 def mgon_area(family: SequenceFamily, k: int, m: int) -> Fraction:
     """The closed-form m-gon area of a family, if it does not depend on n.
 
-    Polygonal families read :func:`polygonal_mgon_area`.  A second-order
-    family has one where |Q| = 1 (the five Binet families: the sum is m-1
-    and Q^n is +-1) and wherever :func:`twice_signed_area` is 0 at every n
-    (the Jacobsthal pair, whose bracket vanishes: collinear vertices).  Any
-    other area grows like |Q|^n, and third-order families have no closed
-    form: both raise :class:`UnsupportedFamilyError`.
+    It does not where q = +-1 (polygonal and the five Binet families) or
+    :func:`closed_area_for` gives S = 0 (the Jacobsthal pair: collinear
+    vertices).  Any other area grows like |q|^n and raises
+    :class:`UnsupportedFamilyError`, as does a family with no closed form.
     """
-    if family.kind is FamilyKind.POLYGONAL:
-        assert family.rank is not None
-        return polygonal_mgon_area(family.rank, k, m)
-    twice, q = _twice_area_at_zero(family, k, m)
+    twice, q = closed_area_for(family, k, m)
     if twice and abs(q) != 1:
         raise UnsupportedFamilyError(
             f"no closed form for {family.label}: its area depends on n"
@@ -151,8 +155,7 @@ def polygonal_mgon_area(rank: int, k: int, m: int) -> Fraction:
     The triangle area 4*(rank-2)^2*k^4 scaled by the tetrahedral number
     m*(m-1)*(m-2)/6.
     """
-    check_domain(k=k, m=m, rank=rank)
-    return Fraction(_polygonal_coefficient(rank, m) * k**4)
+    return mgon_area(SequenceFamily.polygonal(rank), k, m)
 
 
 def _polygonal_coefficient(rank: int, m: int) -> int:
@@ -161,9 +164,3 @@ def _polygonal_coefficient(rank: int, m: int) -> int:
     tetra = m * (m - 1) * (m - 2)
     assert tetra % 6 == 0
     return 4 * (tetra // 6) * (rank - 2) ** 2
-
-
-def closed_area_for(family: SequenceFamily, k: int, m: int) -> Fraction:
-    """:func:`mgon_area`, looked up at call time (so a patched
-    ``closedforms.mgon_area`` reaches the CLI and the grid loop)."""
-    return mgon_area(family, k, m)

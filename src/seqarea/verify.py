@@ -1,10 +1,10 @@
 """Cross-checking harness: sweep parameter grids and compare area routes.
 
 Every cell pits the shoelace oracle (exact surveyor's formula on actual
-integer vertices) against the applicable closed form.  Matches are exact
-rational equality; there are no tolerances anywhere.  Published reference
-tables are embedded as data so that any discrepancy is surfaced as a flag
-instead of being silently corrected.
+integer vertices) against the applicable closed form, as signed
+twice-areas compared as integers; there are no tolerances anywhere.
+Published reference tables are embedded as data so that any discrepancy is
+surfaced as a flag instead of being silently corrected.
 """
 
 from __future__ import annotations
@@ -36,14 +36,14 @@ from .sequences import (
 
 
 class VerificationCell(NamedTuple):
-    """One grid point: the m-gon of stride k from index n, both areas, and
-    the exact-match verdict."""
+    """One grid point: the m-gon of stride k from index n, twice its signed
+    area by both routes, and the exact-match verdict."""
 
     n: int
     k: int
     m: int
-    oracle_area: Fraction
-    closed_area: Fraction
+    oracle_twice: int
+    closed_twice: int
     match: bool
     note: str = ""
 
@@ -88,18 +88,20 @@ def verify_family(
 ) -> VerificationReport:
     """Compare shoelace oracle and closed-form area over a full (n, k, m) grid.
 
-    Covers every family :func:`closed_area_for` answers.  A cell whose closed
-    area is 0 must also have collinear vertices, and its note says
+    Covers every family :func:`closed_area_for` answers.  A cell passes if
+    its oracle equals the closed form S * q**n, sign included; a cell whose
+    closed area is 0 must also have collinear vertices, and its note says
     ``collinear`` or ``NOT COLLINEAR``.  Cell order is fixed: n outer,
     k middle, m inner; every cell reads one term slice f(0) .. f(largest
     index) shared by the whole grid.
 
-    The oracle is the shoelace sum of the cell's vertex terms, compared with
-    the closed form in integers.  :func:`twice_shoelace_plane` computes it
-    for every cell at once, with a collinearity flag; a zero-area cell the
-    flag does not prove goes to :func:`collinear` on its own columns.
+    The oracle is the shoelace sum of the cell's vertex terms.
+    :func:`twice_shoelace_plane` computes it for every cell at once, with a
+    collinearity flag; a zero-area cell the flag does not prove goes to
+    :func:`collinear` on its own columns.
     """
-    closed_area_for(family, 1, 3)  # a family with no closed form fails first
+    # q is the family's Q at every (k, m); a family with no closed form fails first.
+    q = closed_area_for(family, 1, 3)[1]
     ns = _as_range(n_range, "n")
     ks = _as_range(k_range, "k")
     ms = _as_range(m_range, "m")
@@ -114,30 +116,22 @@ def verify_family(
     # Every cell's domain holds if the smallest n, k and m are in it; it is
     # checked before the first column or closed form is read.
     check_domain(n_lo, k_lo, m_lo)
-    # The closed area does not depend on n: one evaluation per (k, m), in
-    # the cells' order.  With it goes the twice-area an oracle must have to
-    # match it: None where twice the closed area is not an integer, 0 where
-    # the closed area is 0.
-    forms: dict[tuple[int, int], tuple[Fraction, int | None]] = {}
-    for k, m in product(ks, ms):
-        if (k, m) not in forms:
-            closed = closed_area_for(family, k, m)
-            twice, rest = divmod(2 * closed.numerator, closed.denominator)
-            forms[k, m] = (closed, None if rest else twice)
-    rows = {k: [(m, *forms[k, m]) for m in ms] for k in ks}
+    # One S per (k, m).  Each k's row of closed twice-areas S * q**n, in m
+    # order, is built once per distinct q**n: twice where |q| = 1.
+    forms = {(k, m): closed_area_for(family, k, m)[0] for k, m in product(ks, ms)}
+    rows: dict[int, dict[int, list[tuple[int, int]]]] = {}
+    for qn in {q**n for n in ns}:
+        rows[qn] = {k: [(m, forms[k, m] * qn) for m in ms] for k in ks}
     plane = twice_shoelace_plane(seq, ns, ks, ms)
     twices = zip(*[plane[m][0] for m in ms])
     lines = zip(*[plane[m][1] for m in ms])
     new_cell = VerificationCell._make  # skips the slower keyword-default __new__
     cells = []
     for (n, k), cell_twices, cell_lines in zip(product(ns, ks), twices, lines):
-        for (m, closed, twice), signed, line in zip(rows[k], cell_twices, cell_lines):
-            oracle_twice = abs(signed)
-            match = oracle_twice == twice
-            # An equal oracle shares the closed form's Fraction.
-            oracle = closed if match else Fraction(oracle_twice, 2)
+        for (m, closed), oracle, line in zip(rows[q**n][k], cell_twices, cell_lines):
+            match = oracle == closed
             note = ""
-            if twice == 0:
+            if closed == 0:
                 is_line = line or collinear(*vertex_columns(seq, n, k, m))
                 note = "collinear" if is_line else "NOT COLLINEAR"
                 match = is_line and match
@@ -286,9 +280,11 @@ STATUS_UNVERIFIED = "UNVERIFIED-CONVENTION"
 
 
 class ThirdOrderCell(NamedTuple):
+    """Twice the signed oracle area of one triangle, and its published area."""
+
     column: str
     k: int
-    computed: Fraction
+    twice: int
     published: Fraction | None
     status: str
 
@@ -336,15 +332,14 @@ def third_order_table(
             # The triangle's vertex terms, read from the column's slice as a
             # verify cell reads its grid's slice.
             twice = twice_shoelace(*vertex_columns(slices[column], 0, k, 3))
-            computed = Fraction(abs(twice), 2)
             published = PUBLISHED_THIRD_ORDER[column].get(k) if n == 1 else None
             if column == "padovan":
                 status = STATUS_UNVERIFIED
             elif published is None:
                 status = ""
-            elif computed == published:
+            elif abs(twice) == 2 * published:
                 status = STATUS_MATCH
             else:
                 status = STATUS_MISMATCH
-            cells.append(ThirdOrderCell(column, k, computed, published, status))
+            cells.append(ThirdOrderCell(column, k, twice, published, status))
     return ThirdOrderTable(n, k_max, padovan.initial, tuple(cells))

@@ -4,7 +4,6 @@ import json
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from fractions import Fraction
 
 import pytest
 
@@ -15,6 +14,7 @@ from seqarea import (
     closedforms,
     rational_str,
     shoelace_area,
+    verify,
 )
 from seqarea.sequences import MAX_TABLE_CELLS, MAX_TERM_INDEX, MAX_THIRD_ORDER_K
 from seqarea.verify import polygonal_table, third_order_table
@@ -117,13 +117,25 @@ class TestArea:
         assert payload["match"] is True
 
     def test_mismatch_exits_one(self, capsys, monkeypatch):
-        monkeypatch.setattr(closedforms, "mgon_area", lambda family, k, m: Fraction(999))
+        monkeypatch.setattr(cli, "closed_area_for", lambda family, k, m: (1998, 1))
         code, out, _ = run(
             capsys, "area", "fibonacci", "--n", "1", "--k", "1", "--m", "3",
             "--method", "both",
         )
         assert code == 1
         assert "MISMATCH" in out
+
+    def test_sign_error_exits_one(self, capsys, monkeypatch):
+        # q -> -q: the closed area keeps its value and loses its sign at odd n.
+        real = closedforms.closed_area_for
+        monkeypatch.setattr(
+            cli, "closed_area_for", lambda *args: (real(*args)[0], -real(*args)[1])
+        )
+        argv = ("area", "fibonacci", "--k", "1", "--m", "3", "--method", "both")
+        code, out, _ = run(capsys, *argv, "--n", "1")
+        assert (code, out) == (1, "oracle: 1/2\nclosed: 1/2\nMISMATCH\n")
+        code, out, _ = run(capsys, *argv, "--n", "2")
+        assert (code, out) == (0, "oracle: 1/2\nclosed: 1/2\nMATCH\n")
 
     def test_no_closed_form_is_usage_error(self, capsys):
         code, _, err = run(
@@ -193,12 +205,26 @@ class TestVerify:
         assert first == second
 
     def test_failing_grid_exits_one(self, capsys, monkeypatch):
-        monkeypatch.setattr(closedforms, "mgon_area", lambda family, k, m: Fraction(999))
+        monkeypatch.setattr(verify, "closed_area_for", lambda family, k, m: (1998, 1))
         code, out, _ = run(
             capsys, "verify", "fibonacci", "--n", "1..1", "--k", "1..1", "--m", "3..3"
         )
         assert code == 1
         assert "fail_count: 1" in out
+
+    def test_sign_error_fails_odd_n(self, capsys, monkeypatch):
+        real = closedforms.closed_area_for
+        monkeypatch.setattr(
+            verify, "closed_area_for", lambda *args: (real(*args)[0], -real(*args)[1])
+        )
+        code, out, _ = run(
+            capsys, "verify", "fibonacci", "--n", "0..1", "--k", "1..2", "--m", "3..4",
+            "--format", "json",
+        )
+        assert code == 1
+        cells = json.loads(out)["cells"]
+        assert [c["match"] for c in cells] == [True] * 4 + [False] * 4
+        assert all(c["oracle"] == c["closed"] for c in cells)
 
     def test_unsupported_family_is_usage_error(self, capsys):
         code, _, err = run(

@@ -1,10 +1,13 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seqarea import geometry, sequences
 from seqarea.closedforms import (
+    closed_area_for,
     closed_triangle_area,
     general_mgon_area,
     general_triangle_area,
@@ -13,7 +16,12 @@ from seqarea.closedforms import (
     polygonal_triangle_area,
     twice_signed_area,
 )
-from seqarea.geometry import build_vertices, shoelace_area, shoelace_signed
+from seqarea.geometry import (
+    build_vertices,
+    shoelace_area,
+    shoelace_signed,
+    twice_polygon_area,
+)
 from seqarea.sequences import (
     RecurrenceSpec,
     SequenceFamily,
@@ -129,10 +137,47 @@ class TestTwiceSignedArea:
         fib = SequenceFamily.fibonacci()
         with pytest.raises(ValueError):
             twice_signed_area(fib, -1, 1, 3)
-        for family in (SequenceFamily.polygonal(5), SequenceFamily.tribonacci(),
+        # Polygonal answers: clockwise, twice 4 * (5-2)^2 at k = 1, m = 3.
+        assert twice_signed_area(SequenceFamily.polygonal(5), 0, 1, 3) == -72
+        for family in (SequenceFamily.tribonacci(),
                        SequenceFamily.custom(RecurrenceSpec((2,), (1,)))):
             with pytest.raises(UnsupportedFamilyError, match="no closed form"):
                 twice_signed_area(family, 0, 1, 3)
+
+
+class TestClosedAreaFor:
+    def test_fibonacci_and_polygonal(self):
+        assert closed_area_for(SequenceFamily.fibonacci(), 2, 3) == (15, -1)
+        assert closed_area_for(SequenceFamily.polygonal(7), 2, 4) == (-2 * 400 * 16, 1)
+        assert closed_area_for(SequenceFamily.jacobsthal(), 3, 5) == (0, -2)
+
+    def test_domain_checked_before_the_family(self):
+        for family in (SequenceFamily.fibonacci(), SequenceFamily.polygonal(3),
+                       SequenceFamily.perrin()):
+            with pytest.raises(ValueError, match="stride k"):
+                closed_area_for(family, 0, 3)
+            with pytest.raises(ValueError, match="vertex count m"):
+                closed_area_for(family, 1, 2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rank=st.integers(3, 12),
+        n=st.integers(0, 5000),
+        route=st.sampled_from(["jump", "direct"]),
+        data=st.data(),
+    )
+    def test_polygonal_sign_matches_oracle(self, rank, n, route, data):
+        # Both oracle routes: jump coefficients over the small-index table,
+        # and past it (2 + (2m-1)k > 400) the vertex terms themselves.
+        if route == "jump":
+            k, m = data.draw(st.integers(1, 20)), data.draw(st.integers(3, 10))
+        else:
+            k, m = data.draw(st.integers(80, 400)), data.draw(st.integers(3, 6))
+        family = SequenceFamily.polygonal(rank)
+        with mock.patch.object(geometry, "_x_power", wraps=sequences._x_power) as jump:
+            oracle = twice_polygon_area(family, n, k, m)
+        assert jump.called == (route == "jump")
+        assert twice_signed_area(family, n, k, m) == oracle < 0
 
 
 class TestPaperForms:

@@ -7,7 +7,6 @@ not pass it) and each flag of the published tables.
 """
 
 import hashlib
-from fractions import Fraction
 
 import pytest
 
@@ -792,14 +791,19 @@ def test_polygonal_mismatch_lines(capsys, monkeypatch):
     ],
 )
 def test_failing_grid_bytes(capsys, monkeypatch, fmt, expected):
-    real = closedforms.mgon_area
+    # The closed form S * q**n with S = 0 at (k, m) = (1, 3) and |S| one
+    # unit further from zero at (2, 4).
+    real = closedforms.closed_area_for
 
     def broken(family, k, m):
+        twice, q = real(family, k, m)
         if (k, m) == (1, 3):
-            return Fraction(0)
-        return real(family, k, m) + (Fraction(1, 2) if (k, m) == (2, 4) else 0)
+            return 0, q
+        if (k, m) == (2, 4):
+            return twice + (1 if twice > 0 else -1), q
+        return twice, q
 
-    monkeypatch.setattr(closedforms, "mgon_area", broken)
+    monkeypatch.setattr(verify, "closed_area_for", broken)
     assert cli.main([*VERIFY_FAILING, "--format", fmt]) == 1
     assert capsys.readouterr().out == expected
 

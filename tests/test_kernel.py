@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 from contextlib import nullcontext
-from fractions import Fraction
 from itertools import product
 from unittest import mock
 
@@ -191,7 +190,7 @@ def test_polygonal_area_kernel_matches_figurate_form(n, k, m, jumps):
 
 
 def _zero(family, k, m):
-    return Fraction(0)
+    return 0, 1
 
 
 # The Jacobsthal pair reaches the collinearity check with its own closed
@@ -209,15 +208,15 @@ ZERO_CLOSED = st.one_of(
 @given(case=ZERO_CLOSED, n=st.integers(0, 40), k=st.integers(1, 12))
 def test_zero_area_cells_judged_by_collinear(case, n, k):
     family, patched = case
-    with mock.patch.object(closedforms, "mgon_area", _zero) if patched else nullcontext():
+    with mock.patch.object(verify, "closed_area_for", _zero) if patched else nullcontext():
         report = verify_family(family, [n], [k], range(3, 7))
     for cell in report.cells:
         poly = build_vertices(family, cell.n, cell.k, cell.m)
         is_line = collinear(*poly)
-        assert cell.closed_area == 0
+        assert cell.closed_twice == 0
         assert cell.note == ("collinear" if is_line else "NOT COLLINEAR")
         assert cell.match == (is_line and shoelace_signed(*poly) == 0)
-        assert cell.oracle_area == abs(shoelace_signed(*poly))
+        assert cell.oracle_twice == 2 * shoelace_signed(*poly)
 
 
 @st.composite
@@ -263,25 +262,28 @@ def test_plane_matches_cell_kernels(family, ns, ks, ms):
 @given(family=FAMILIES, **GRIDS)
 def test_report_matches_per_cell_route(family, ns, ks, ms):
     # A family with no closed form gets 0 for every (k, m), so each of its
-    # cells goes through the collinearity check.
+    # cells goes through the collinearity check.  Every order-2 family has
+    # one, read per n where |Q| != 1.
     try:
-        closedforms.mgon_area(family, 1, 3)
+        closedforms.closed_area_for(family, 1, 3)
         patch = nullcontext()
     except UnsupportedFamilyError:
-        patch = mock.patch.object(closedforms, "mgon_area", _zero)
+        patch = mock.patch.object(verify, "closed_area_for", _zero)
     with patch:
         report = verify_family(family, ns, ks, ms)
-        closed = {(k, m): closedforms.mgon_area(family, k, m) for k in ks for m in ms}
+        forms = {(k, m): verify.closed_area_for(family, k, m) for k in ks for m in ms}
     seq = grid_slice(family, ns, ks, ms)
     want = []
     for n, k, m in product(ns, ks, ms):
         xs, ys = vertex_columns(seq, n, k, m)
-        oracle = Fraction(abs(twice_shoelace(xs, ys)), 2)
-        match, note = oracle == closed[k, m], ""
-        if closed[k, m] == 0:
+        oracle = twice_shoelace(xs, ys)
+        twice, q = forms[k, m]
+        closed = twice * q**n
+        match, note = oracle == closed, ""
+        if closed == 0:
             is_line = collinear(xs, ys)
             match, note = match and is_line, "collinear" if is_line else "NOT COLLINEAR"
-        want.append(verify.VerificationCell(n, k, m, oracle, closed[k, m], match, note))
+        want.append(verify.VerificationCell(n, k, m, oracle, closed, match, note))
     assert list(report.cells) == want
 
 
@@ -296,7 +298,7 @@ ALL_ZERO = SequenceFamily.custom(RecurrenceSpec((1, 0), (0, 0), "zero"))
 def test_collinear_decides_only_unflagged_cells(family, fallbacks):
     # On the guardrail grid the flags prove every Jacobsthal cell collinear;
     # an all-zero family has P_1 = P_0 everywhere and falls back every time.
-    zero = mock.patch.object(closedforms, "mgon_area", _zero)
+    zero = mock.patch.object(verify, "closed_area_for", _zero)
     with zero if family is ALL_ZERO else nullcontext():
         with mock.patch.object(verify, "collinear", wraps=collinear) as fallback:
             report = verify_family(family, range(21), range(1, 21), range(3, 11))

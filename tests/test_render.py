@@ -16,8 +16,10 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from seqarea import cli, closedforms
+from seqarea import cli, closedforms, verify
 from seqarea.cli import (
     render_area,
     render_gen,
@@ -25,7 +27,7 @@ from seqarea.cli import (
     render_report,
     render_third_order_table,
 )
-from seqarea.geometry import build_vertices, shoelace_area
+from seqarea.geometry import build_vertices, shoelace_signed
 from seqarea.numerics import rational_str
 from seqarea.sequences import RecurrenceSpec, SequenceFamily, family_terms
 from seqarea.verify import (
@@ -44,6 +46,11 @@ AWKWARD_LABEL = 'q "x", back\\slash\nnew line, Ümlaut ∑ 😀'
 
 def optional_str(x: Fraction | None) -> str | None:
     return None if x is None else rational_str(x)
+
+
+def area_str(twice: int | None) -> str | None:
+    """The area of signed twice-area ``twice``, as the outputs spell it."""
+    return None if twice is None else rational_str(abs(Fraction(twice, 2)))
 
 
 def reference_json(payload: object) -> str:
@@ -73,8 +80,8 @@ def payload(report: VerificationReport) -> dict:
                 "n": c.n,
                 "k": c.k,
                 "m": c.m,
-                "oracle": rational_str(c.oracle_area),
-                "closed": rational_str(c.closed_area),
+                "oracle": area_str(c.oracle_twice),
+                "closed": area_str(c.closed_twice),
                 "match": c.match,
                 "note": c.note,
             }
@@ -104,7 +111,7 @@ def reference_report(report: VerificationReport, fmt: str) -> str:
     for c in report.cells:
         row = [
             str(c.n), str(c.k), str(c.m),
-            rational_str(c.oracle_area), rational_str(c.closed_area),
+            area_str(c.oracle_twice), area_str(c.closed_twice),
             "MATCH" if c.match else "MISMATCH", c.note,
         ]
         lines.append("| " + " | ".join(row) + " |")
@@ -121,27 +128,26 @@ def reports() -> list[VerificationReport]:
     grid = (range(0, 3), range(1, 4), range(3, 6))
     passing = verify_family(awkward((2, 5)), *grid)
     collinear = verify_family(awkward((1, 2), (1, 2)), *grid)
-    real = closedforms.mgon_area
+    real = closedforms.closed_area_for
 
     def broken(family, k, m):
-        # Right at m = 3, 0 (never collinear here) at k = 1, else off by 1/3.
+        # Right at m = 3, S = 0 (never collinear here) at k = 1, else S + 1.
+        twice, q = real(family, k, m)
         if m == 3:
-            return real(family, k, m)
-        return Fraction(0) if k == 1 else real(family, k, m) + Fraction(1, 3)
+            return twice, q
+        return (0 if k == 1 else twice + 1), q
 
-    with mock.patch.object(closedforms, "mgon_area", broken):
+    with mock.patch.object(verify, "closed_area_for", broken):
         failing = verify_family(awkward((2, 5)), *grid)
-    # A report not made by verify_family: equal areas held by distinct
-    # Fractions, a negative area and a note needing quotes.
+    # A report not made by verify_family: one area with opposite signs (a
+    # mismatch spelled alike), negative twice-areas and a note needing quotes.
     by_hand = VerificationReport(
         family=awkward((0, 1)),
         grid='by "hand", one family',
         cells=(
-            VerificationCell(0, 1, 3, Fraction(1, 2), Fraction(2, 4), True),
-            VerificationCell(
-                4, 2, 5, Fraction(-7, 3), Fraction(7, 3), False, 'odd, "note"'
-            ),
-            VerificationCell(1, 1, 3, Fraction(0), Fraction(0), True, ""),
+            VerificationCell(0, 1, 3, 1, -1, False),
+            VerificationCell(4, 2, 5, -14, -14, True, 'odd, "note"'),
+            VerificationCell(1, 1, 3, 0, 0, True, ""),
         ),
         pass_count=2,
         fail_count=1,
@@ -195,8 +201,8 @@ def test_gen_matches_reference_writer(fmt, count):
 def reference_area(family, n, k, m, method, oracle, closed, fmt) -> str:
     where = {"family": family.label, "n": n, "k": k, "m": m}
     found = {
-        "oracle": optional_str(oracle),
-        "closed": optional_str(closed),
+        "oracle": area_str(oracle),
+        "closed": area_str(closed),
         "match": oracle == closed if method == "both" else None,
     }
     if fmt == "csv":
@@ -206,13 +212,14 @@ def reference_area(family, n, k, m, method, oracle, closed, fmt) -> str:
 
 
 AREA_SPEC = awkward((2, 5)), 3, 2, 4  # family, n, k, m
-AREA_ORACLE = shoelace_area(*build_vertices(*AREA_SPEC))
-AREA_CLOSED = closedforms.mgon_area(AREA_SPEC[0], 2, 4)
+AREA_ORACLE = int(2 * shoelace_signed(*build_vertices(*AREA_SPEC)))
+AREA_CLOSED = closedforms.twice_signed_area(*AREA_SPEC)
 AREA_CASES = [
     ("oracle", AREA_ORACLE, None),
     ("closed", None, AREA_CLOSED),
     ("both", AREA_ORACLE, AREA_CLOSED),
-    ("both", AREA_ORACLE, Fraction(-5, 2)),  # a mismatch
+    ("both", AREA_ORACLE, -5),  # a mismatch
+    ("both", AREA_ORACLE, -AREA_ORACLE),  # the same area, the other sign
 ]
 
 
@@ -225,15 +232,15 @@ def test_area_matches_reference_writer(fmt, case):
 
 
 @pytest.mark.parametrize("fmt", ["markdown", "json", "csv"])
-@pytest.mark.parametrize("closed, spellings", [(AREA_CLOSED, 1), (Fraction(-5, 2), 2)])
+@pytest.mark.parametrize("closed, spellings", [(AREA_CLOSED, 1), (-AREA_ORACLE, 2)])
 def test_area_spells_a_match_once(fmt, closed, spellings):
     # At large n one area has tens of thousands of digits: a MATCH spells
-    # them once and writes the token twice.  CSV's token is rational_str
+    # them once and writes the token twice.  CSV's token is ``_area``
     # itself, bound in ``_TOKENS``, so the spy goes there too.
     want = render_area(*AREA_SPEC, "both", AREA_ORACLE, closed, fmt)
-    spy = mock.Mock(wraps=rational_str)
+    spy = mock.Mock(wraps=cli._area)
     text, _, null = cli._TOKENS["csv"]
-    with mock.patch.object(cli, "rational_str", spy), mock.patch.dict(
+    with mock.patch.object(cli, "_area", spy), mock.patch.dict(
         cli._TOKENS, {"csv": (text, spy, null)}
     ):
         got = render_area(*AREA_SPEC, "both", AREA_ORACLE, closed, fmt)
@@ -265,7 +272,7 @@ def reference_third_order(table: ThirdOrderTable, fmt: str) -> str:
         {
             "column": c.column,
             "k": c.k,
-            "computed": rational_str(c.computed),
+            "computed": area_str(c.twice),
             "published": optional_str(c.published),
             "status": c.status,
         }
@@ -292,3 +299,8 @@ def test_third_order_table_matches_reference_writer(fmt, n, k_max, initial):
     table = third_order_table(n, k_max, initial)
     assert any(c.published is None for c in table.cells)
     assert render_third_order_table(table, fmt) == reference_third_order(table, fmt)
+
+
+@given(twice=st.integers(-(10**60), 10**60))
+def test_area_spells_half_the_absolute_twice_area(twice):
+    assert cli._area(twice) == rational_str(Fraction(abs(twice), 2))

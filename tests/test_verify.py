@@ -51,11 +51,13 @@ class TestVerifyFamily:
         assert verify_family(*args) == verify_family(*args)
 
     def test_oracle_area_independent_of_n(self):
+        # Only the sign of the twice-area depends on n: (-1)**n for Lucas.
         report = verify_family(
             SequenceFamily.lucas(), range(0, 9), [2], [4]
         )
-        areas = {c.oracle_area for c in report.cells}
-        assert len(areas) == 1
+        twices = [c.oracle_twice for c in report.cells]
+        assert twices == [c.closed_twice for c in report.cells]
+        assert twices == [(-1) ** n * twices[0] for n in range(0, 9)]
 
     def test_unsupported_family(self):
         with pytest.raises(UnsupportedFamilyError):
@@ -90,13 +92,13 @@ class TestVerifyFamily:
         )
         assert report.fail_count == 0
         assert report.pass_count == len(report.cells) == 9 * 6 * 6
-        assert all(c.closed_area == 0 and c.note == "collinear" for c in report.cells)
+        assert all(c.closed_twice == 0 and c.note == "collinear" for c in report.cells)
 
     def test_report_counts_are_consistent(self):
         report = verify_family(
             SequenceFamily.pell_lucas(), range(0, 3), range(1, 4), range(3, 6)
         )
-        both = sum(1 for c in report.cells if c.closed_area is not None)
+        both = sum(1 for c in report.cells if c.closed_twice is not None)
         assert report.pass_count + report.fail_count == both
 
     @pytest.mark.parametrize(
@@ -132,7 +134,7 @@ class TestVerifyCollinearity:
     def test_all_grids_degenerate(self, family):
         report = verify_collinearity(family, range(0, 9), range(1, 7), range(3, 9))
         assert report.fail_count == 0
-        assert all(c.oracle_area == 0 for c in report.cells)
+        assert all(c.oracle_twice == 0 for c in report.cells)
         assert all(c.note == "collinear" for c in report.cells)
 
     def test_wrong_family_rejected(self):
@@ -202,18 +204,14 @@ class TestThirdOrderTable:
     def test_tribonacci_column_matches_reference(self):
         table = third_order_table(1, 6)
         cells = [c for c in table.cells if c.column == "tribonacci"]
-        assert [c.computed for c in cells] == [3, 64, 849, 23360, 509729, 10049160]
+        twices = [-6, -128, -1698, -46720, -1019458, -20098320]  # clockwise
+        assert [c.twice for c in cells] == twices
         assert all(c.status == STATUS_MATCH for c in cells)
 
     def test_perrin_column_flags_one_reference_typo(self):
         table = third_order_table(1, 6)
         by_k = {c.k: c for c in table.cells if c.column == "perrin"}
-        assert by_k[1].computed == Fraction(9, 2)
-        assert by_k[2].computed == Fraction(47, 2)
-        assert by_k[4].computed == 149
-        assert by_k[5].computed == Fraction(1629, 2)
-        assert by_k[6].computed == 4820
-        assert by_k[3].computed == Fraction(31, 2)
+        assert [by_k[k].twice for k in range(1, 7)] == [9, 47, 31, 298, 1629, 9640]
         assert by_k[3].published == Fraction(31, 9)
         assert by_k[3].status == STATUS_MISMATCH
         assert all(c.status == STATUS_MATCH for k, c in by_k.items() if k != 3)
@@ -229,8 +227,8 @@ class TestThirdOrderTable:
         alt = third_order_table(1, 3, padovan_initial=(1, 0, 0))
         default_cells = {(c.column, c.k): c for c in default.cells}
         alt_cells = {(c.column, c.k): c for c in alt.cells}
-        assert default_cells["padovan", 2].computed != alt_cells["padovan", 2].computed
-        assert alt_cells["tribonacci", 2].computed == 64
+        assert default_cells["padovan", 2].twice != alt_cells["padovan", 2].twice
+        assert alt_cells["tribonacci", 2].twice == -128
 
     def test_no_reference_values_off_published_grid(self):
         table = third_order_table(2, 7)
