@@ -4,6 +4,12 @@ A polygon is two integer columns: vertex i is (xs[i], ys[i]).  Signed areas
 come out as Fractions with denominator 1 or 2; nothing is ever rounded.
 Vertex order is meaningful throughout: the surveyor's formula is
 orientation-sensitive and no function reorders its input.
+
+The area of one (k, m) pattern at start n is itself a linear recurrence in
+n, of order at most d(d-1)/2 for a family of order d, so
+:func:`twice_polygon_area` answers a large n from a few small-index
+shoelaces: for d <= 3 it derives that recurrence from them and jumps along
+it, on numbers the size of the area rather than of the terms.
 """
 
 from __future__ import annotations
@@ -15,7 +21,9 @@ from typing import Iterable, Sequence
 
 from .sequences import (
     MAX_SEQUENCE_INDEX,
+    RecurrenceSpec,
     SequenceFamily,
+    _berlekamp_massey,
     _x_power,
     check_domain,
     family_terms,
@@ -125,24 +133,55 @@ def twice_shoelace_plane(
 
 
 def twice_polygon_area(family: SequenceFamily, n: int, k: int, m: int) -> int:
-    """Twice the signed area of the m-gon of :func:`build_vertices` (n, k, m):
-    the surveyor's sum over the family's own terms, from d big products.
+    """Twice the signed area of the m-gon of :func:`build_vertices` (n, k, m),
+    from the surveyor's sum over the family's own terms, by one of three
+    routes.
 
-    With x**n = a_0 + a_1*x + .. + a_(d-1)*x**(d-1) modulo the characteristic
-    polynomial, every vertex term is f(n + j*k) = sum(a_i * f(i + j*k)), and
-    the shoelace is bilinear in its x and y columns, so
-    ``2S(n) = sum(a_i * M[i][l] * a_l)`` with M[i][l] the shoelace of the x
-    column of the polygon at start i and the y column of the one at start l.
-    M is small-index work; only the d products a_i * (M[i] . a) are big.
+    For fixed (k, m) this is a sequence S(n) of order at most d(d-1)/2, for
+    d the family's order: each edge's cross product is a 2x2 minor, so by
+    Cauchy-Binet S(n) = g . L**n h with L the d(d-1)/2-square matrix of the
+    2x2 minors of the companion matrix.  Where d <= 3 and the polygons at
+    starts 0 .. d(d-1)-1 lie in the small-index table, their shoelaces are
+    S's first d(d-1) values: a start below d(d-1) is read off them, and
+    otherwise :func:`_berlekamp_massey` derives S's minimal recurrence from
+    them and one jump x**n modulo it weights them.  Every number is the size
+    of the area, not of the terms.
 
-    This route is taken where the polygons at starts 0 .. d-1 lie in the
-    small-index table.  Past it, a is e_0 at start n: M[0][0] alone, the
-    shoelace of the 2m vertex terms fetched by one strided window.
+    Elsewhere, with x**n = a_0 + a_1*x + .. + a_(d-1)*x**(d-1) modulo the
+    family's characteristic polynomial, every vertex term is
+    f(n + j*k) = sum(a_i * f(i + j*k)), and the shoelace is bilinear in its
+    x and y columns, so ``2S(n) = sum(a_i * M[i][l] * a_l)`` with M[i][l]
+    the shoelace of the x column of the polygon at start i and the y column
+    of the one at start l.  This bilinear route, d big products, is taken
+    where the polygons at starts 0 .. d-1 lie in the table: orders of 4 and
+    more, and order 3 at 395 < (2m-1)k <= 398.  Past it, a is e_0 at start
+    n: M[0][0] alone, the shoelace of the 2m vertex terms fetched by one
+    strided window.
+
+    >>> pell = SequenceFamily.pell()
+    >>> [twice_polygon_area(pell, n, 1, 3) for n in range(4)]
+    [8, -8, 8, -8]
+    >>> direct = twice_shoelace(*build_vertices(pell, 30001, 7, 5))
+    >>> twice_polygon_area(pell, 30001, 7, 5) == direct
+    True
     """
     check_domain(n, k, m)
     spec = preset(family)
+    d = spec.order
+    count = d * (d - 1)  # twice the order bound of S
+    last = reach(count - 1, k, m)  # the last index the samples read
+    if d <= 3 and last <= MAX_SEQUENCE_INDEX:
+        seq = family_terms(family, 0, last + 1)
+        samples = [twice_shoelace(*vertex_columns(seq, i, k, m)) for i in range(count)]
+        if n < count:
+            return samples[n]
+        recurrence = _berlekamp_massey(samples)
+        if not recurrence:
+            return 0
+        area = RecurrenceSpec(recurrence, samples[: len(recurrence)])
+        return sum(map(operator.mul, _x_power(area, n), samples))
     weights, start = [1], n
-    if reach(spec.order - 1, k, m) <= MAX_SEQUENCE_INDEX:
+    if reach(d - 1, k, m) <= MAX_SEQUENCE_INDEX:
         weights, start = _x_power(spec, n), 0
     columns = [build_vertices(family, start + i, k, m) for i in range(len(weights))]
     return sum(

@@ -10,8 +10,11 @@ import math
 import os
 import random
 from fractions import Fraction
+from unittest import mock
 
+from seqarea import geometry, sequences
 from seqarea.numerics import QuadElem
+from seqarea.sequences import MAX_SEQUENCE_INDEX, preset, reach
 
 DEFAULT_SEED = 20240901
 
@@ -64,3 +67,40 @@ def field_axiom_violations(rng: random.Random, d: int, cases: int) -> int:
         for value in (x + y, x * y, w.inv()):
             assert_canonical(value)
     return bad
+
+
+def area_route(order: int, n: int, k: int, m: int) -> str:
+    """The route ``twice_polygon_area`` should take, by its rule: the area's
+    own recurrence ("sample" below d(d-1), where no recurrence is derived)
+    for d <= 3 where the polygons at starts 0 .. d(d-1)-1 lie in the table,
+    else the bilinear form where those at starts 0 .. d-1 do, else the
+    direct shoelace."""
+    count = order * (order - 1)
+    if order <= 3 and reach(count - 1, k, m) <= MAX_SEQUENCE_INDEX:
+        return "sample" if n < count else "recurrence"
+    return "bilinear" if reach(order - 1, k, m) <= MAX_SEQUENCE_INDEX else "direct"
+
+
+def routed_area(family, n: int, k: int, m: int) -> tuple[int, str]:
+    """``twice_polygon_area`` and the route it took, seen from what it
+    called: the bilinear form jumps on the family's own recurrence and
+    fetches the polygons at starts 0 .. d-1, the direct route fetches the
+    one at n, and the area's recurrence fetches none (and derives nothing
+    below d(d-1))."""
+    spec = preset(family)
+    with mock.patch.object(
+        geometry, "build_vertices", wraps=geometry.build_vertices
+    ) as fetch, mock.patch.object(
+        geometry, "_x_power", wraps=sequences._x_power
+    ) as jump, mock.patch.object(
+        geometry, "_berlekamp_massey", wraps=sequences._berlekamp_massey
+    ) as derive:
+        twice = geometry.twice_polygon_area(family, n, k, m)
+    starts = [call.args[1] for call in fetch.call_args_list]
+    if any(call.args[0] is spec for call in jump.call_args_list):
+        assert starts == list(range(spec.order)) and not derive.called
+        return twice, "bilinear"
+    if fetch.called:
+        assert starts == [n] and not (jump.called or derive.called)
+        return twice, "direct"
+    return twice, "recurrence" if derive.called else "sample"

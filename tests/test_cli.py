@@ -137,6 +137,20 @@ class TestArea:
         code, out, _ = run(capsys, *argv, "--n", "2")
         assert (code, out) == (0, "oracle: 1/2\nclosed: 1/2\nMATCH\n")
 
+    def test_sign_error_at_large_n_exits_one(self, capsys, monkeypatch):
+        # Past its first two starts the oracle jumps along the area's own
+        # recurrence, derived from small-index shoelaces, not from the
+        # closed form: q -> -q still misses at odd n.
+        argv = ("area", "pell", "--n", "30001", "--k", "7", "--m", "5", "--method", "both")
+        assert run(capsys, *argv)[0] == 0
+        real = closedforms.closed_area_for
+        monkeypatch.setattr(
+            cli, "closed_area_for", lambda *args: (real(*args)[0], -real(*args)[1])
+        )
+        code, out, _ = run(capsys, *argv)
+        assert code == 1
+        assert out.endswith("\nMISMATCH\n")
+
     def test_no_closed_form_is_usage_error(self, capsys):
         code, _, err = run(
             capsys, "area", "tribonacci", "--n", "1", "--k", "1", "--m", "3",

@@ -1,11 +1,9 @@
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqarea import geometry, sequences
 from seqarea.closedforms import (
     closed_area_for,
     closed_triangle_area,
@@ -20,7 +18,6 @@ from seqarea.geometry import (
     build_vertices,
     shoelace_area,
     shoelace_signed,
-    twice_polygon_area,
 )
 from seqarea.sequences import (
     RecurrenceSpec,
@@ -31,6 +28,7 @@ from seqarea.sequences import (
     preset,
     term,
 )
+from support import routed_area
 
 FAMILIES = [
     SequenceFamily.fibonacci(),
@@ -159,24 +157,30 @@ class TestClosedAreaFor:
             with pytest.raises(ValueError, match="vertex count m"):
                 closed_area_for(family, 1, 2)
 
+    # Every (k, m) with 395 < (2m-1)k <= 398.
+    BILINEAR_BAND = [(44, 5), (36, 6), (12, 17), (4, 50), (1, 199), (2, 100)]
+
     @settings(max_examples=200, deadline=None)
     @given(
         rank=st.integers(3, 12),
         n=st.integers(0, 5000),
-        route=st.sampled_from(["jump", "direct"]),
+        route=st.sampled_from(["recurrence", "bilinear", "direct"]),
         data=st.data(),
     )
     def test_polygonal_sign_matches_oracle(self, rank, n, route, data):
-        # Both oracle routes: jump coefficients over the small-index table,
-        # and past it (2 + (2m-1)k > 400) the vertex terms themselves.
-        if route == "jump":
+        # Every oracle route: the area's own recurrence over the small-index
+        # table (5 + (2m-1)k <= 400; a start below 6 is a sample), the
+        # bilinear form at 395 < (2m-1)k <= 398, and past the table
+        # (2 + (2m-1)k > 400) the vertex terms themselves.
+        if route == "recurrence":
             k, m = data.draw(st.integers(1, 20)), data.draw(st.integers(3, 10))
+        elif route == "bilinear":
+            k, m = data.draw(st.sampled_from(self.BILINEAR_BAND))
         else:
             k, m = data.draw(st.integers(80, 400)), data.draw(st.integers(3, 6))
         family = SequenceFamily.polygonal(rank)
-        with mock.patch.object(geometry, "_x_power", wraps=sequences._x_power) as jump:
-            oracle = twice_polygon_area(family, n, k, m)
-        assert jump.called == (route == "jump")
+        oracle, taken = routed_area(family, n, k, m)
+        assert taken == ("sample" if route == "recurrence" and n < 6 else route)
         assert twice_signed_area(family, n, k, m) == oracle < 0
 
 

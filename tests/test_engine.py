@@ -16,11 +16,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from seqarea.geometry import build_vertices, shoelace_area
+from seqarea.geometry import build_vertices, shoelace_area, twice_shoelace
 from seqarea.sequences import (
     MAX_SEQUENCE_INDEX,
     RecurrenceSpec,
     SequenceFamily,
+    _berlekamp_massey,
     _extend,
     _small_table,
     binet_eval,
@@ -230,6 +231,59 @@ class TestDifferential:
         params = binet_params(family)
         for n in (MAX_SEQUENCE_INDEX + 1, 777, 1500):
             assert binet_eval(params, n) == term(preset(family), n)
+
+
+class TestBerlekampMassey:
+    """The minimal recurrence of a sample, on known answers and against
+    forward iteration of the recurrence it returns."""
+
+    @staticmethod
+    def areas(family, k, m, count):
+        return [twice_shoelace(*build_vertices(family, n, k, m)) for n in range(count)]
+
+    def test_fibonacci_area_alternates(self):
+        # |Q| = 1: twice the area is S, -S, S, ..
+        samples = self.areas(SequenceFamily.fibonacci(), 2, 3, 2)
+        assert samples == [15, -15]
+        assert _berlekamp_massey(samples) == (-1,)
+
+    def test_polygonal_area_is_constant(self):
+        samples = self.areas(SequenceFamily.polygonal(7), 2, 4, 6)
+        assert len(set(samples)) == 1
+        assert _berlekamp_massey(samples) == (1,)
+
+    @pytest.mark.parametrize("count", [0, 1, 6])
+    def test_all_zero_has_the_empty_recurrence(self, count):
+        assert _berlekamp_massey([0] * count) == ()
+
+    def test_singular_companion_keeps_its_transient(self):
+        # x^3 - x^2 - x = x(x^2 - x - 1): the area's minimal polynomial is
+        # x(x + 1), so S(n) = -S(n-1) only from n = 2 on.
+        family = SequenceFamily.custom(RecurrenceSpec((1, 1, 0), (1, 2, 0)))
+        samples = self.areas(family, 1, 3, 6)
+        assert samples == [-2, -4, 4, -4, 4, -4]
+        assert _berlekamp_massey(samples) == (-1, 0)
+        # Written out: s(n) = 2s(n-1) from n = 3 on, after 1, 3, 2.
+        assert _berlekamp_massey([1, 3, 2, 4, 8, 16]) == (2, 0, 0)
+
+    def test_inexact_division_raises(self):
+        # 2, 1 fits only s(n) = s(n-1)/2: no integer recurrence of order 1.
+        with pytest.raises(ArithmeticError, match="integer recurrence"):
+            _berlekamp_massey([2, 1])
+
+    @settings(max_examples=150, deadline=None)
+    @given(spec=custom_specs(), more=st.integers(0, 10))
+    def test_derives_a_recurrence_that_continues_the_sequence(self, spec, more):
+        # 2d terms of an order-d sequence fix its minimal recurrence, which
+        # is at most d long and generates every later term.
+        values = forward(spec, 2 * spec.order + 30)
+        recurrence = _berlekamp_massey(values[: 2 * spec.order + more])
+        assert len(recurrence) <= spec.order
+        if recurrence:
+            derived = RecurrenceSpec(recurrence, tuple(values[: len(recurrence)]))
+            assert forward(derived, len(values)) == values
+        else:
+            assert not any(values)
 
 
 class TestBounds:

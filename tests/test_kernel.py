@@ -1,6 +1,6 @@
 """The integer shoelace kernel on grid-slice columns against the columns of
 ``build_vertices``, the grid's plane kernel against it cell by cell, and the
-jump-coefficient area kernel against the shoelace of the vertex terms.
+three routes of the area kernel against the shoelace of the vertex terms.
 
 ``cyclic_sum`` below is the reference: the cross-product loop written out
 over (x, y) pairs, independent of the kernel's difference form.
@@ -11,13 +11,14 @@ from __future__ import annotations
 import random
 from contextlib import nullcontext
 from itertools import product
+from math import comb
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqarea import closedforms, geometry, sequences, verify
+from seqarea import closedforms, verify
 from seqarea.geometry import (
     build_vertices,
     collinear,
@@ -37,6 +38,7 @@ from seqarea.sequences import (
     reach,
 )
 from seqarea.verify import verify_family
+from support import area_route, routed_area
 
 NAMED = [
     SequenceFamily.fibonacci(),
@@ -144,11 +146,15 @@ def test_kernel_on_wide_columns(m, bits, seed):
 
 @st.composite
 def area_requests(draw):
-    """(family, n, k, m) on either side of the jump-coefficient route's rule
-    (2m-1)k + d - 1 <= MAX_SEQUENCE_INDEX, or exactly on it."""
+    """(family, n, k, m) on either side of each route rule of
+    ``twice_polygon_area``, or exactly on it: the area's own recurrence
+    where reach(d(d-1) - 1, k, m) <= MAX_SEQUENCE_INDEX (d <= 3), the
+    bilinear form where reach(d - 1, k, m) is."""
     family = draw(FAMILIES)
     d = preset(family).order
-    free = MAX_SEQUENCE_INDEX - (d - 1)  # the largest span the route takes
+    rule = draw(st.sampled_from(["recurrence", "bilinear"]))
+    last = d * (d - 1) - 1 if rule == "recurrence" else d - 1  # the start it reads
+    free = MAX_SEQUENCE_INDEX - last  # the largest span the rule takes
     side = draw(st.sampled_from(["edge", "past edge", "inside", "outside"]))
     if side in ("edge", "past edge"):
         m = draw(
@@ -161,7 +167,8 @@ def area_requests(draw):
         m = draw(st.integers(3, 12))
         edge = free // (2 * m - 1)
         k = draw(st.integers(1, edge) if side == "inside" else st.integers(edge + 1, edge + 50))
-    return family, draw(st.integers(0, 3000)), k, m
+    n = draw(st.one_of(st.integers(0, d * (d - 1) + 1), st.integers(0, 3000)))
+    return family, n, k, m
 
 
 @settings(max_examples=300, deadline=None)
@@ -169,24 +176,46 @@ def area_requests(draw):
 def test_polygon_area_kernel_matches_shoelace(request):
     family, n, k, m = request
     want = 2 * shoelace_signed(*build_vertices(family, n, k, m))
-    with mock.patch.object(geometry, "_x_power", wraps=sequences._x_power) as jump:
-        assert twice_polygon_area(family, n, k, m) == want  # signed
-    assert jump.called == (reach(preset(family).order - 1, k, m) <= MAX_SEQUENCE_INDEX)
+    twice, route = routed_area(family, n, k, m)
+    assert twice == want  # signed
+    assert route == area_route(preset(family).order, n, k, m)
+
+
+@st.composite
+def repeated_roots(draw):
+    """A custom recurrence with characteristic polynomial (x - r)^d."""
+    r, d = draw(st.integers(-2, 2)), draw(st.integers(1, 3))
+    coefficients = [(-1) ** (i + 1) * comb(d, i) * r**i for i in range(1, d + 1)]
+    initial = draw(st.lists(st.integers(-5, 5), min_size=d, max_size=d))
+    return SequenceFamily.custom(RecurrenceSpec(tuple(coefficients), tuple(initial)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(family=st.one_of(FAMILIES, repeated_roots()), data=st.data())
+def test_area_recurrence_matches_direct_shoelace(family, data):
+    # Starts on both sides of d(d-1), the samples the area's recurrence is
+    # derived from, with every polygon those samples need inside the table.
+    d = preset(family).order
+    m = data.draw(st.integers(3, 12))
+    free = MAX_SEQUENCE_INDEX - max(d * (d - 1) - 1, 0)
+    k = data.draw(st.integers(1, max(free // (2 * m - 1), 1)))
+    n = data.draw(st.one_of(st.integers(0, 2 * d * (d - 1) + 1), st.integers(0, 3000)))
+    want = twice_shoelace(*build_vertices(family, n, k, m))
+    assert twice_polygon_area(family, n, k, m) == want
 
 
 @pytest.mark.parametrize(
-    "n, k, m, jumps",
-    [(99_000, 20, 10, True), (0, 20_000, 3, False)],
-    ids=["jump-route", "direct-route"],
+    "n, k, m, route",
+    [(99_000, 20, 10, "recurrence"), (99_000, 1, 199, "bilinear"), (0, 20_000, 3, "direct")],
+    ids=["jump-route", "bilinear-route", "direct-route"],
 )
-def test_polygonal_area_kernel_matches_figurate_form(n, k, m, jumps):
+def test_polygonal_area_kernel_matches_figurate_form(n, k, m, route):
     # Polygonal numbers are the order-3 recurrence (3, -3, 1): near the
-    # term-index budget they take the same two routes as any other family.
+    # term-index budget they take the same three routes as any other family.
     family = SequenceFamily.polygonal(7)
-    with mock.patch.object(geometry, "_x_power", wraps=sequences._x_power) as jump:
-        twice = twice_polygon_area(family, n, k, m)
+    twice, taken = routed_area(family, n, k, m)
     assert abs(twice) == 2 * closedforms.polygonal_mgon_area(7, k, m)
-    assert jump.called == jumps
+    assert taken == route
 
 
 def _zero(family, k, m):
