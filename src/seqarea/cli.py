@@ -8,8 +8,8 @@ Subcommands:
 
 Every subcommand accepts ``--format {json,csv,markdown}`` (default markdown)
 and ``--out FILE``.  Exit codes: 0 success / all match, 1 verification
-mismatch, 2 usage or I/O error.  Rationals are always emitted as exact
-``p/q`` strings in full, never floats.
+mismatch, 2 usage, I/O or out-of-memory error.  Rationals are always
+emitted as exact ``p/q`` strings in full, never floats.
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ import csv
 import functools
 import io
 import sys
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import islice
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Iterable, Iterator, Sequence
 
 from .closedforms import closed_area_for
 from .geometry import twice_polygon_area
@@ -522,8 +522,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return args.handler(args)
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        message = str(exc)
+    except MemoryError:
+        # A refusal, not a mismatch.  The line is written once this block is
+        # left, when the failed request's terms are already freed.
+        message = "out of memory"
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

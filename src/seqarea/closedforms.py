@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import functools
 import operator
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from .numerics import QuadElem
 from .sequences import (
@@ -94,10 +94,10 @@ def mgon_area(family: SequenceFamily, k: int, m: int) -> Fraction:
     return Fraction(abs(twice), 2)
 
 
-class ClosedFormResult(NamedTuple):
+class ClosedFormResult(namedtuple("ClosedFormResult", "area")):
     """A closed-form triangle area."""
 
-    area: Fraction
+    __slots__ = ()
 
 
 def closed_triangle_area(family: SequenceFamily, k: int) -> ClosedFormResult:

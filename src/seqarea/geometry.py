@@ -15,9 +15,9 @@ it, on numbers the size of the area rather than of the terms.
 from __future__ import annotations
 
 import operator
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Sequence
 
 from .sequences import (
     MAX_SEQUENCE_INDEX,

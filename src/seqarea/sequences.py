@@ -17,9 +17,8 @@ import functools
 import math
 import operator
 from collections import deque
-from dataclasses import dataclass, field
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from .numerics import QuadElem, _split_square
 
@@ -28,8 +27,55 @@ class UnsupportedFamilyError(ValueError):
     """Raised when an operation does not apply to the given sequence family."""
 
 
-@dataclass(frozen=True)
-class RecurrenceSpec:
+# Sets a field of a _Value; only its __init__ may.
+_setattr = object.__setattr__
+
+
+class _Value:
+    """An immutable value, as a frozen dataclass would give it.
+
+    ``__match_args__`` names the constructor's fields in order: ``repr``
+    shows them and pickling passes them back through the constructor, so
+    every check runs again and no stored hash is copied (a family's hash
+    mixes in its kind's, which hashes the member's name, and before Python
+    3.12 None's, which hashes its address: both differ from process to
+    process).  ``_key`` gives the fields that make the value: ``==``
+    compares them, between instances of one class only, and ``hash`` hashes
+    them as a tuple.  Fields are set once, in ``__init__``, by ``_setattr``.
+    """
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def _key(self) -> tuple[object, ...]:
+        raise NotImplementedError
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def _fields(self) -> tuple[object, ...]:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __repr__(self) -> str:
+        shown = map("{}={!r}".format, self.__match_args__, self._fields())
+        return f"{self.__class__.__qualname__}({', '.join(shown)})"
+
+    def __reduce__(self) -> tuple[type, tuple[object, ...]]:
+        return self.__class__, self._fields()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class RecurrenceSpec(_Value):
     """A homogeneous linear recurrence with integer coefficients.
 
     ``coefficients`` are (c1, ..., c_order) in
@@ -37,21 +83,30 @@ class RecurrenceSpec:
     f(0) .. f(order-1).  A value that is not an integer raises ``TypeError``.
     """
 
+    __slots__ = ("coefficients", "initial_terms", "label", "_hash")
+    __match_args__ = ("coefficients", "initial_terms", "label")
+
     coefficients: tuple[int, ...]
     initial_terms: tuple[int, ...]
-    label: str = field(default="", compare=False)  # a name, not part of the value
-    _hash: int = field(init=False, compare=False, repr=False)
+    label: str
 
-    def __post_init__(self) -> None:
-        coefficients = tuple(map(operator.index, self.coefficients))
-        initial_terms = tuple(map(operator.index, self.initial_terms))
+    def __init__(
+        self, coefficients: Sequence[int], initial_terms: Sequence[int], label: str = ""
+    ) -> None:
+        coefficients = tuple(map(operator.index, coefficients))
+        initial_terms = tuple(map(operator.index, initial_terms))
         if not coefficients:
             raise ValueError("order must be >= 1, got 0")
         if len(initial_terms) != len(coefficients):
             raise ValueError("initial term list length must equal the order")
-        object.__setattr__(self, "coefficients", coefficients)
-        object.__setattr__(self, "initial_terms", initial_terms)
-        object.__setattr__(self, "_hash", hash((coefficients, initial_terms)))
+        _setattr(self, "coefficients", coefficients)
+        _setattr(self, "initial_terms", initial_terms)
+        _setattr(self, "label", label)
+        _setattr(self, "_hash", hash((coefficients, initial_terms)))
+
+    def _key(self) -> tuple[object, ...]:
+        # A label is a name, not part of the value.
+        return self.coefficients, self.initial_terms
 
     def __hash__(self) -> int:
         # Taken once: every small-index table lookup hashes the spec.
@@ -99,8 +154,7 @@ _FIELD_OWNERS = {
 }
 
 
-@dataclass(frozen=True)
-class SequenceFamily:
+class SequenceFamily(_Value):
     """A named sequence family plus whatever parameters it needs.
 
     The constructor validates the parameter set for the kind: a field the
@@ -113,15 +167,31 @@ class SequenceFamily:
     in n and so with characteristic polynomial (x - 1)^3.
     """
 
-    kind: FamilyKind
-    s: int | None = None
-    t: int | None = None
-    rank: int | None = None
-    initial: tuple[int, ...] | None = None
-    spec: RecurrenceSpec | None = None
-    _recurrence: RecurrenceSpec = field(init=False, compare=False, repr=False)
+    __slots__ = ("kind", "s", "t", "rank", "initial", "spec", "_recurrence")
+    __match_args__ = ("kind", "s", "t", "rank", "initial", "spec")
 
-    def __post_init__(self) -> None:
+    kind: FamilyKind
+    s: int | None
+    t: int | None
+    rank: int | None
+    initial: tuple[int, ...] | None
+    spec: RecurrenceSpec | None
+
+    def __init__(
+        self,
+        kind: FamilyKind,
+        s: int | None = None,
+        t: int | None = None,
+        rank: int | None = None,
+        initial: Sequence[int] | None = None,
+        spec: RecurrenceSpec | None = None,
+    ) -> None:
+        _setattr(self, "kind", kind)
+        _setattr(self, "s", s)
+        _setattr(self, "t", t)
+        _setattr(self, "rank", rank)
+        _setattr(self, "initial", initial)
+        _setattr(self, "spec", spec)
         for name, owner in _FIELD_OWNERS.items():
             if owner is not self.kind and getattr(self, name) is not None:
                 raise ValueError(
@@ -130,8 +200,8 @@ class SequenceFamily:
         if self.kind is FamilyKind.GENERALIZED_FIBONACCI:
             if self.s is None or self.t is None:
                 raise ValueError("generalized family requires s and t")
-            object.__setattr__(self, "s", operator.index(self.s))
-            object.__setattr__(self, "t", operator.index(self.t))
+            _setattr(self, "s", operator.index(self.s))
+            _setattr(self, "t", operator.index(self.t))
             recurrence = RecurrenceSpec((1, 1), (self.t - self.s, self.s), self.label)
         elif self.kind is FamilyKind.POLYGONAL:
             if self.rank is None:
@@ -142,7 +212,7 @@ class SequenceFamily:
             initial = DEFAULT_PADOVAN_INITIAL if self.initial is None else self.initial
             if len(initial) != 3:
                 raise ValueError("padovan initial terms must be a triple")
-            object.__setattr__(self, "initial", tuple(map(operator.index, initial)))
+            _setattr(self, "initial", tuple(map(operator.index, initial)))
             recurrence = RecurrenceSpec((0, 1, 1), self.initial, self.label)
         elif self.kind is FamilyKind.CUSTOM:
             if self.spec is None:
@@ -150,7 +220,10 @@ class SequenceFamily:
             recurrence = self.spec
         else:
             recurrence = _PRESETS[self.kind]
-        object.__setattr__(self, "_recurrence", recurrence)
+        _setattr(self, "_recurrence", recurrence)
+
+    def _key(self) -> tuple[object, ...]:
+        return self.kind, self.s, self.t, self.rank, self.initial, self.spec
 
     @classmethod
     def fibonacci(cls) -> SequenceFamily:
@@ -465,21 +538,28 @@ def family_terms(
     return terms(preset(family), start, count, step)
 
 
-@dataclass(frozen=True)
-class BinetParams:
+class BinetParams(_Value):
     """Exact parameters (a, b, r) of the closed form
     ``f(n) = a*r^n - b*beta^n`` over one quadratic field, where beta is the
     conjugate of r and equals -1/r: r must have norm -1."""
+
+    __slots__ = __match_args__ = ("a", "b", "r")
 
     a: QuadElem
     b: QuadElem
     r: QuadElem
 
-    def __post_init__(self) -> None:
+    def __init__(self, a: QuadElem, b: QuadElem, r: QuadElem) -> None:
+        _setattr(self, "a", a)
+        _setattr(self, "b", b)
+        _setattr(self, "r", r)
         if not (self.a.d == self.b.d == self.r.d):
             raise ValueError("a, b, r must share one radicand")
         if self.r.norm() != -1:
             raise ValueError(f"r must have norm -1, got {self.r.norm()}")
+
+    def _key(self) -> tuple[object, ...]:
+        return self.a, self.b, self.r
 
 
 @functools.lru_cache(maxsize=64)

@@ -10,9 +10,10 @@ surfaced as a flag instead of being silently corrected.
 from __future__ import annotations
 
 import operator
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, NamedTuple, Sequence
 
 from .closedforms import _polygonal_coefficient, closed_area_for
 from .geometry import (
@@ -35,27 +36,23 @@ from .sequences import (
 )
 
 
-class VerificationCell(NamedTuple):
+class VerificationCell(
+    namedtuple(
+        "VerificationCell", "n k m oracle_twice closed_twice match note", defaults=("",)
+    )
+):
     """One grid point: the m-gon of stride k from index n, twice its signed
     area by both routes, and the exact-match verdict."""
 
-    n: int
-    k: int
-    m: int
-    oracle_twice: int
-    closed_twice: int
-    match: bool
-    note: str = ""
+    __slots__ = ()
 
 
-class VerificationReport(NamedTuple):
+class VerificationReport(
+    namedtuple("VerificationReport", "family grid cells pass_count fail_count")
+):
     """All cells of one grid sweep over one family, in deterministic order."""
 
-    family: SequenceFamily
-    grid: str
-    cells: tuple[VerificationCell, ...]
-    pass_count: int
-    fail_count: int
+    __slots__ = ()
 
 
 def _as_range(values: Iterable[int], name: str) -> Sequence[int]:
@@ -227,18 +224,19 @@ def rank_name(rank: int) -> str:
     return _RANK_NAMES.get(rank, f"{rank}-gonal")
 
 
-class PolygonalTableCell(NamedTuple):
-    m: int
-    rank: int
-    coefficient: int
-    published: int | None
-    match: bool | None
+class PolygonalTableCell(
+    namedtuple("PolygonalTableCell", "m rank coefficient published match")
+):
+    """The coefficient of k^4 at (m, rank); ``published`` and ``match`` are
+    None where no published value exists."""
+
+    __slots__ = ()
 
 
-class PolygonalTable(NamedTuple):
-    m_values: tuple[int, ...]
-    ranks: tuple[int, ...]
-    cells: tuple[PolygonalTableCell, ...]
+class PolygonalTable(namedtuple("PolygonalTable", "m_values ranks cells")):
+    """Every (m, rank) cell of one polygonal table, m-major."""
+
+    __slots__ = ()
 
     @property
     def mismatches(self) -> tuple[PolygonalTableCell, ...]:
@@ -279,21 +277,17 @@ STATUS_MISMATCH = "MISMATCH"
 STATUS_UNVERIFIED = "UNVERIFIED-CONVENTION"
 
 
-class ThirdOrderCell(NamedTuple):
+class ThirdOrderCell(namedtuple("ThirdOrderCell", "column k twice published status")):
     """Twice the signed oracle area of one triangle, and its published area."""
 
-    column: str
-    k: int
-    twice: int
-    published: Fraction | None
-    status: str
+    __slots__ = ()
 
 
-class ThirdOrderTable(NamedTuple):
-    n: int
-    k_max: int
-    padovan_initial: tuple[int, ...]
-    cells: tuple[ThirdOrderCell, ...]
+class ThirdOrderTable(namedtuple("ThirdOrderTable", "n k_max padovan_initial cells")):
+    """The triangles at start n for k = 1 .. k_max, k-major, one cell per
+    column."""
+
+    __slots__ = ()
 
 
 def third_order_table(

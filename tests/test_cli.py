@@ -171,6 +171,15 @@ class TestArea:
         assert out == rational_str(shoelace_area(*vertices)) + "\n"
         assert len(out) > 4300
 
+    def test_out_of_memory_is_a_refusal(self, capsys, monkeypatch):
+        # Exit 1 means a mismatch only: running out of memory is one error line.
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "twice_polygon_area", exhausted)
+        argv = ("area", "pell", "--n", "0", "--k", "1", "--m", "50000", "--format", "csv")
+        assert run(capsys, *argv) == (2, "", "error: out of memory\n")
+
     def test_invalid_spec_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "area", "fibonacci", "--n", "1", "--k", "0", "--m", "3")
         assert code == 2

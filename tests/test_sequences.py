@@ -1,12 +1,16 @@
-import dataclasses
+import os
 import pickle
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import seqarea
 from seqarea.closedforms import mgon_area, polygonal_mgon_area, twice_signed_area
 from seqarea.numerics import QuadElem
 from seqarea.sequences import (
@@ -107,7 +111,7 @@ class TestPresets:
             "SequenceFamily(kind=<FamilyKind.GENERALIZED_FIBONACCI: 'generalized'>, "
             "s=2, t=3, rank=None, initial=None, spec=None)"
         )
-        moved = dataclasses.replace(family, t=5)
+        moved = SequenceFamily(family.kind, s=family.s, t=5)
         assert moved == SequenceFamily.generalized(2, 5)
         assert preset(moved).initial_terms == (3, 2)
 
@@ -445,7 +449,7 @@ class TestValidation:
         copy = pickle.loads(pickle.dumps(spec))
         for other in (same, copy):
             assert other == spec and hash(other) == hash(spec)
-        moved = dataclasses.replace(spec, initial_terms=[v + 1 for v in initial])
+        moved = RecurrenceSpec(spec.coefficients, [v + 1 for v in initial], spec.label)
         built = RecurrenceSpec(coefficients, [v + 1 for v in initial])
         assert moved != spec and moved == built and hash(moved) == hash(built)
         assert repr(spec) == (
@@ -458,3 +462,97 @@ class TestValidation:
         assert SequenceFamily.generalized(2, 3).label == "generalized(s=2,t=3)"
         assert SequenceFamily.polygonal(7).label == "polygonal(rank=7)"
         assert SequenceFamily.padovan().label == "padovan(initial=1,1,1)"
+
+
+def _values():
+    """One value of each class, a field of it, and an equal value built under
+    another label (BinetParams has none: the same parameters derived from a
+    relabelled recurrence)."""
+    spec = RecurrenceSpec((3, -1), (1, 4), "demo")
+    params = binet_params(SequenceFamily.fibonacci())
+    relabelled_fibonacci = SequenceFamily.custom(RecurrenceSpec((1, 1), (0, 1), "U"))
+    return [
+        pytest.param(spec, "coefficients", RecurrenceSpec([3, -1], [1, 4], "other"),
+                     id="RecurrenceSpec"),
+        pytest.param(SequenceFamily.custom(spec), "kind",
+                     SequenceFamily.custom(RecurrenceSpec((3, -1), (1, 4))),
+                     id="SequenceFamily"),
+        pytest.param(params, "r", binet_params(relabelled_fibonacci), id="BinetParams"),
+    ]
+
+
+class TestValueClasses:
+    @pytest.mark.parametrize("value, field, relabelled", _values())
+    def test_fields_cannot_be_assigned_or_deleted(self, value, field, relabelled):
+        before = getattr(value, field)
+        for name in (field, "extra"):
+            with pytest.raises(AttributeError) as assigned:
+                setattr(value, name, before)
+            with pytest.raises(AttributeError) as deleted:
+                delattr(value, name)
+            assert str(assigned.value) == f"cannot assign to field {name!r}"
+            assert str(deleted.value) == f"cannot delete field {name!r}"
+        assert getattr(value, field) is before and not hasattr(value, "extra")
+
+    @pytest.mark.parametrize("value, field, relabelled", _values())
+    def test_equal_only_to_its_own_class(self, value, field, relabelled):
+        fields = tuple(getattr(value, name) for name in type(value).__match_args__)
+        for other in (fields, fields[:1], object(), None):
+            assert value != other and not value == other
+            assert value.__eq__(other) is NotImplemented
+
+    @pytest.mark.parametrize("value, field, relabelled", _values())
+    def test_label_is_not_part_of_the_value(self, value, field, relabelled):
+        assert relabelled is not value
+        assert relabelled == value and hash(relabelled) == hash(value)
+        if hasattr(value, "label"):
+            assert relabelled.label != value.label
+
+    @pytest.mark.parametrize("value, field, relabelled", _values())
+    def test_pickle_goes_through_the_constructor(self, value, field, relabelled):
+        cls = type(value)
+        args = tuple(getattr(value, name) for name in cls.__match_args__)
+        assert value.__reduce__() == (cls, args)
+        copy = pickle.loads(pickle.dumps(value))
+        assert type(copy) is cls and copy == value and hash(copy) == hash(value)
+        assert repr(copy) == repr(value)
+
+    def test_match_args(self):
+        assert RecurrenceSpec.__match_args__ == (
+            "coefficients", "initial_terms", "label"
+        )
+        assert SequenceFamily.__match_args__ == (
+            "kind", "s", "t", "rank", "initial", "spec"
+        )
+        assert BinetParams.__match_args__ == ("a", "b", "r")
+        match SequenceFamily.generalized(2, 3):
+            case SequenceFamily(FamilyKind.GENERALIZED_FIBONACCI, s, t, None):
+                assert (s, t) == (2, 3)
+            case _:
+                pytest.fail("the family did not match its own fields")
+
+    def test_pickle_from_another_hash_seed_finds_the_key(self):
+        # A family's hash mixes in its FamilyKind's, which hashes the member's
+        # name: a str hash, different under each PYTHONHASHSEED.  A family
+        # pickled in such a process must still be found as a key made here.
+        families = [
+            SequenceFamily.pell(), SequenceFamily.generalized(2, 3),
+            SequenceFamily.polygonal(7), SequenceFamily.padovan((1, 0, 0)),
+            SequenceFamily.custom(RecurrenceSpec((3, -1), (1, 4), "demo")),
+        ]
+        src = str(Path(seqarea.__file__).resolve().parents[1])
+        code = (
+            f"import pickle, sys; sys.path.insert(0, {src!r})\n"
+            "families = pickle.load(sys.stdin.buffer)\n"
+            "pickle.dump((families, list(map(hash, families))), sys.stdout.buffer)"
+        )
+        seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+        result = subprocess.run(
+            [sys.executable, "-c", code], input=pickle.dumps(families),
+            capture_output=True, env={**os.environ, "PYTHONHASHSEED": seed}, check=True,
+        )
+        copies, their_hashes = pickle.loads(result.stdout)
+        assert their_hashes[0] != hash(families[0])  # the seeds did differ
+        index = {family: i for i, family in enumerate(families)}
+        assert [index[copy] for copy in copies] == list(range(len(families)))
+        assert [preset(copy) for copy in copies] == list(map(preset, families))

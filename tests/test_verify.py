@@ -269,3 +269,27 @@ def test_records_are_immutable(record, field):
     with pytest.raises(AttributeError):
         setattr(record, field, None)
     assert getattr(record, field) is before
+
+
+# Each record's fields in order; every field is required but a cell's note.
+RECORD_FIELDS = {
+    "VerificationCell": ("n", "k", "m", "oracle_twice", "closed_twice", "match", "note"),
+    "VerificationReport": ("family", "grid", "cells", "pass_count", "fail_count"),
+    "PolygonalTableCell": ("m", "rank", "coefficient", "published", "match"),
+    "PolygonalTable": ("m_values", "ranks", "cells"),
+    "ThirdOrderCell": ("column", "k", "twice", "published", "status"),
+    "ThirdOrderTable": ("n", "k_max", "padovan_initial", "cells"),
+    "ClosedFormResult": ("area",),
+}
+
+
+@pytest.mark.parametrize("record, field", _records())
+def test_records_are_plain_tuples(record, field):
+    cls = type(record)
+    assert cls._fields == RECORD_FIELDS[cls.__name__]
+    assert cls._field_defaults == ({"note": ""} if cls.__name__ == "VerificationCell" else {})
+    assert cls.__doc__ and not hasattr(record, "__dict__")
+    copy = cls._make(record)
+    assert type(copy) is cls and copy == record and copy is not record
+    shown = ", ".join(f"{name}={value!r}" for name, value in zip(cls._fields, record))
+    assert repr(record) == f"{cls.__name__}({shown})"
