@@ -14,14 +14,14 @@ emitted as exact ``p/q`` strings in full, never floats.
 
 from __future__ import annotations
 
-import argparse
 import csv
 import functools
 import io
 import sys
+from _json import encode_basestring_ascii  # json.encoder's, without loading json
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import islice
-from json.encoder import encode_basestring_ascii
+from types import MappingProxyType, SimpleNamespace
 
 from .closedforms import closed_area_for
 from .geometry import twice_polygon_area
@@ -69,7 +69,7 @@ def parse_triple(text: str) -> tuple[int, int, int]:
     return (parts[0], parts[1], parts[2])
 
 
-def resolve_family(args: argparse.Namespace) -> SequenceFamily:
+def resolve_family(args: SimpleNamespace) -> SequenceFamily:
     """Build a SequenceFamily from CLI arguments; it rejects stray parameters."""
     name = args.family
     if name == "generalized" and (args.s is None or args.t is None):
@@ -356,7 +356,7 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _cmd_gen(args: argparse.Namespace) -> int:
+def _cmd_gen(args: SimpleNamespace) -> int:
     if args.count < 0:
         raise ValueError(f"--count must be >= 0, got {args.count}")
     check_term_budget(args.count - 1)
@@ -366,7 +366,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_area(args: argparse.Namespace) -> int:
+def _cmd_area(args: SimpleNamespace) -> int:
     family, n, k, m = resolve_family(args), args.n, args.k, args.m
     check_domain(n, k, m)
     check_term_budget(reach(n, k, m))
@@ -383,131 +383,231 @@ def _cmd_area(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: SimpleNamespace) -> int:
     report = verify_family(resolve_family(args), args.n, args.k, args.m)
     _emit(render_report(report, args.format), args.out)
     return 0 if report.fail_count == 0 else 1
 
 
-def _cmd_polygonal_table(args: argparse.Namespace) -> int:
+def _cmd_polygonal_table(args: SimpleNamespace) -> int:
     table = polygonal_table(args.m, args.rank)
     _emit(render_polygonal_table(table, args.format), args.out)
     return 0
 
 
-def _cmd_third_order_table(args: argparse.Namespace) -> int:
+def _cmd_third_order_table(args: SimpleNamespace) -> int:
     table = third_order_table(args.n, args.k_max, args.padovan_initial)
     _emit(render_third_order_table(table, args.format), args.out)
     return 0
 
 
 # ---------------------------------------------------------------------------
-# Parser
+# Command line
+#
+# One row per command: name, handler, help, whether it takes a family, and
+# its options in help order, each (flag, converter or None, choices, default,
+# required, metavar, help).  Usage and help are written from the rows.
+
+_COMMON = (
+    ("--format", None, ("json", "csv", "markdown"), "markdown", False, None,
+     "output format (default: markdown)"),
+    ("--out", None, None, None, False, "FILE", "write output to FILE"),
+)
+_FAMILY = (
+    *_COMMON,
+    ("--s", int, None, None, False, "S", "first parameter of 'generalized'"),
+    ("--t", int, None, None, False, "T", "second parameter of 'generalized'"),
+    ("--rank", int, None, None, False, "RANK", "rank of 'polygonal' (>= 3)"),
+    ("--initial-terms", parse_triple, None, None, False, "A,B,C",
+     "start values for 'padovan' (default 1,1,1)"),
+)
+COMMANDS = (
+    ("gen", _cmd_gen, "print sequence terms", True,
+     (*_FAMILY, ("--count", int, None, None, True, "COUNT", "number of terms"))),
+    ("area", _cmd_area, "area of one sequence polygon", True, (
+        *_FAMILY,
+        ("--n", int, None, None, True, "N", "start index (>= 0)"),
+        ("--k", int, None, None, True, "K", "stride (>= 1)"),
+        ("--m", int, None, None, True, "M", "vertex count (>= 3)"),
+        ("--method", None, ("oracle", "closed", "both"), "oracle", False, None,
+         "shoelace oracle, closed form, or both with a verdict"))),
+    ("verify", _cmd_verify, "cross-check a parameter grid", True, (
+        *_FAMILY,
+        ("--n", parse_range, None, None, True, "A..B", "start indices"),
+        ("--k", parse_range, None, None, True, "A..B", "strides"),
+        ("--m", parse_range, None, None, True, "A..B", "vertex counts"))),
+    ("table polygonal", _cmd_polygonal_table, "k^4 coefficients of figurate m-gons",
+     False, (
+        *_COMMON,
+        ("--m", parse_range, None, range(3, 8), False, "A..B",
+         "m values (default 3..7)"),
+        ("--rank", parse_range, None, range(3, 8), False, "A..B",
+         "ranks (default 3..7)"))),
+    ("table third-order", _cmd_third_order_table,
+     "triangle areas of third-order families", False, (
+        *_COMMON,
+        ("--k-max", int, None, 6, False, "K_MAX", "largest k (default 6)"),
+        ("--n", int, None, 1, False, "N", "start index (default 1)"),
+        ("--padovan-initial", parse_triple, None, None, False, "A,B,C",
+         "padovan start values (default 1,1,1)"))),
+)
+# The help of the program ("") and of each word that only begins command names.
+_GROUPS = {"": "Exact areas of polygons with integer-sequence vertices.",
+           "table": "emit a reference table"}
+_HELP_FLAGS = MappingProxyType(dict.fromkeys(("-h", "--help")))
 
 
-def _common_options() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format",
-        choices=["json", "csv", "markdown"],
-        default="markdown",
-        help="output format (default: markdown)",
-    )
-    common.add_argument("--out", metavar="FILE", help="write output to FILE")
-    return common
+class _Stop(Exception):
+    """Ends a parse: (0, help for stdout) or (2, a usage error for stderr)."""
 
 
-def _family_options() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(add_help=False)
-    parser.add_argument("family", choices=FAMILY_NAMES)
-    parser.add_argument("--s", type=int, help="first parameter of 'generalized'")
-    parser.add_argument("--t", type=int, help="second parameter of 'generalized'")
-    parser.add_argument("--rank", type=int, help="rank of 'polygonal' (>= 3)")
-    parser.add_argument(
-        "--initial-terms",
-        type=parse_triple,
-        metavar="A,B,C",
-        help="start values for 'padovan' (default 1,1,1)",
-    )
-    return parser
+class _Usage(Exception):
+    """A usage error, written after ``seqarea <cmd>: error:``."""
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The one parser of this process, built on first use.
+def _dest(flag: str) -> str:
+    return flag.lstrip("-").replace("-", "_")
 
-    Every ``main`` call reuses it: ``parse_args`` returns a fresh namespace
-    and leaves the parser as it found it, and every default is immutable.
-    """
-    parser = argparse.ArgumentParser(
-        prog="seqarea",
-        description="Exact areas of polygons with integer-sequence vertices.",
-    )
-    common = _common_options()
-    family = _family_options()
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    p_gen = sub.add_parser("gen", parents=[common, family], help="print sequence terms")
-    p_gen.add_argument("--count", type=int, required=True, help="number of terms")
-    p_gen.set_defaults(handler=_cmd_gen)
+def _level(words: tuple[str, ...]) -> tuple:
+    """What a parse needs once it has read the command words ``words``: the
+    row they name (or None), flag -> (attribute, converter, choices), the
+    attribute defaults, and the required (name, attribute) pairs."""
+    row = next((r for r in COMMANDS if r[0] == " ".join(words)), None)
+    if row is None:  # the next command word is required
+        dest = words[-1] if words else "command"
+        return None, _HELP_FLAGS, MappingProxyType({}), ((dest, dest),)
+    flags = {**_HELP_FLAGS, **{o[0]: (_dest(o[0]), o[1], o[2]) for o in row[4]}}
+    defaults = {"handler": row[1], **{_dest(o[0]): o[3] for o in row[4]}}
+    required = [(o[0], _dest(o[0])) for o in row[4] if o[4]]
+    if row[3]:
+        defaults["family"] = None
+        required.insert(0, ("family", "family"))
+    return row, MappingProxyType(flags), MappingProxyType(defaults), tuple(required)
 
-    p_area = sub.add_parser(
-        "area", parents=[common, family], help="area of one sequence polygon"
-    )
-    p_area.add_argument("--n", type=int, required=True, help="start index (>= 0)")
-    p_area.add_argument("--k", type=int, required=True, help="stride (>= 1)")
-    p_area.add_argument("--m", type=int, required=True, help="vertex count (>= 3)")
-    p_area.add_argument(
-        "--method",
-        choices=["oracle", "closed", "both"],
-        default="oracle",
-        help="shoelace oracle, closed form, or both with a verdict",
-    )
-    p_area.set_defaults(handler=_cmd_area)
 
-    p_verify = sub.add_parser(
-        "verify", parents=[common, family], help="cross-check a parameter grid"
-    )
-    p_verify.add_argument(
-        "--n", type=parse_range, required=True, metavar="A..B", help="start indices"
-    )
-    p_verify.add_argument(
-        "--k", type=parse_range, required=True, metavar="A..B", help="strides"
-    )
-    p_verify.add_argument(
-        "--m", type=parse_range, required=True, metavar="A..B", help="vertex counts"
-    )
-    p_verify.set_defaults(handler=_cmd_verify)
+# Every whole or begun run of command words -> its _level, in table order;
+# read-only, like the table, so every call and thread can share it.
+_LEVELS = MappingProxyType({
+    words[:n]: _level(words[:n])
+    for words in (tuple(row[0].split()) for row in COMMANDS)
+    for n in range(len(words) + 1)
+})
 
-    p_table = sub.add_parser("table", help="emit a reference table")
-    tables = p_table.add_subparsers(dest="table", required=True)
 
-    p_poly = tables.add_parser(
-        "polygonal", parents=[common], help="k^4 coefficients of figurate m-gons"
-    )
-    p_poly.add_argument(
-        "--m", type=parse_range, default=range(3, 8), metavar="A..B",
-        help="m values (default 3..7)",
-    )
-    p_poly.add_argument(
-        "--rank", type=parse_range, default=range(3, 8), metavar="A..B",
-        help="ranks (default 3..7)",
-    )
-    p_poly.set_defaults(handler=_cmd_polygonal_table)
+def _words(path: tuple[str, ...]) -> list[str]:
+    """The words that may follow the command words ``path``, in table order."""
+    return [w[-1] for w in _LEVELS if w and w[:-1] == path]
 
-    p_third = tables.add_parser(
-        "third-order", parents=[common], help="triangle areas of third-order families"
-    )
-    p_third.add_argument("--k-max", type=int, default=6, help="largest k (default 6)")
-    p_third.add_argument("--n", type=int, default=1, help="start index (default 1)")
-    p_third.add_argument(
-        "--padovan-initial",
-        type=parse_triple,
-        metavar="A,B,C",
-        help="padovan start values (default 1,1,1)",
-    )
-    p_third.set_defaults(handler=_cmd_third_order_table)
-    return parser
+
+def _help(path: tuple[str, ...], row: tuple | None) -> str:
+    """The usage line, then the help of the command or command group ``path``."""
+    usage, sections = ["usage:", "seqarea", *path, "[-h]"], []
+    if row is None:
+        about = {r[0]: r[2] for r in COMMANDS} | _GROUPS
+        words = _words(path)
+        usage.append("{" + ",".join(words) + "} ...")
+        commands = [(w, about[" ".join([*path, w])]) for w in words]
+        sections.append(("commands:", commands))
+    options = [("-h, --help", "show this help message and exit")]
+    for flag, _, choices, _, required, metavar, text in row[4] if row else ():
+        options.append((f"{flag} {metavar or '{' + ','.join(choices) + '}'}", text))
+        usage.append(options[-1][0] if required else f"[{options[-1][0]}]")
+    if row and row[3]:
+        usage.append("{" + ",".join(FAMILY_NAMES) + "}")
+    lines = [" ".join(usage), "", row[2] if row else _GROUPS[" ".join(path)]]
+    for title, pairs in [*sections, ("options:", options)]:
+        width = max(len(left) for left, _ in pairs)
+        lines += ["", title]
+        lines += [f"  {left:<{width}}  {text}".rstrip() for left, text in pairs]
+    return "\n".join(lines) + "\n"
+
+
+def _option(token: str, flags: dict) -> tuple[str, str | None] | None:
+    """What ``token`` names among ``flags``, as argparse read it: (flag, its
+    ``=`` value or None), ("", None) for an unknown option, or None for a
+    positional.  A unique prefix of a ``--`` flag names that flag."""
+    if token[:1] != "-" or token == "-":
+        return None
+    name, eq, value = token.partition("=")
+    found = [name] if name in flags else [f for f in flags if f.startswith(name)]
+    if len(found) > 1:
+        raise _Usage(f"ambiguous option: {token} could match {', '.join(found)}")
+    if found:
+        return found[0], value if eq else None
+    return None if " " in token else ("", None)
+
+
+def _store(
+    args: SimpleNamespace, flag: str, dest: str, convert, choices, value: str
+) -> None:
+    """Sets attribute ``dest`` to ``flag``'s ``value``, converted and checked."""
+    if convert:
+        try:
+            value = convert(value)
+        except (TypeError, ValueError):
+            name = convert.__name__
+            raise _Usage(f"argument {flag}: invalid {name} value: {value!r}") from None
+    if choices and value not in choices:
+        raise _invalid(flag, value, choices)
+    setattr(args, dest, value)
+
+
+def _invalid(name: str, value: object, choices: Sequence[object]) -> _Usage:
+    listed = ", ".join(map(repr, choices))
+    return _Usage(f"argument {name}: invalid choice: {value!r} (choose from {listed})")
+
+
+def parse_argv(argv: Sequence[str]) -> SimpleNamespace:
+    """A fresh namespace of ``argv``, read from left to right against
+    ``COMMANDS``; raises ``_Stop`` for help or a usage error.  An option
+    takes the next token as its value unless that names an option or is
+    ``--``, which ends the options."""
+    args, path, extras, i = SimpleNamespace(), (), [], 0
+    row, flags, _, required = _LEVELS[path]
+    try:
+        while i < len(argv):
+            token, i = argv[i], i + 1
+            if token == "--" and flags:
+                flags = {}  # the options end
+                continue
+            found = _option(token, flags) if flags else None
+            if found is None and row is None:  # the command word this level requires
+                if (*path, token) not in _LEVELS:
+                    raise _invalid(required[0][0], token, _words(path))
+                setattr(args, required[0][1], token)
+                path += (token,)
+                row, options, defaults, required = _LEVELS[path]
+                vars(args).update(defaults)
+                flags = flags and options
+            elif found is None and row[3] and args.family is None:
+                _store(args, "family", "family", None, FAMILY_NAMES, token)
+            elif found is None or not found[0]:
+                extras.append(token)
+            elif found[0] in _HELP_FLAGS:
+                if found[1] is not None:
+                    value = found[1]
+                    raise _Usage(
+                        f"argument -h/--help: ignored explicit argument {value!r}"
+                    )
+                raise _Stop(0, _help(path, row))
+            else:
+                flag, value = found
+                if value is None:
+                    value = argv[i] if i < len(argv) else "--"  # no token left
+                    if value == "--" or value[:2] == "--" and _option(value, flags):
+                        raise _Usage(f"argument {flag}: expected one argument")
+                    i += 1
+                _store(args, flag, *flags[flag], value)
+        missing = [name for name, dest in required if getattr(args, dest, None) is None]
+        if missing:
+            raise _Usage(f"the following arguments are required: {', '.join(missing)}")
+        if extras:
+            raise _Usage(f"unrecognized arguments: {' '.join(extras)}")
+    except _Usage as exc:
+        usage, prog = _help(path, row).partition("\n")[0], " ".join(["seqarea", *path])
+        raise _Stop(2, f"{usage}\n{prog}: error: {exc}\n") from None
+    return args
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -516,9 +616,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
     try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+        args = parse_argv(sys.argv[1:] if argv is None else argv)
+    except _Stop as stop:
+        code, text = stop.args
+        (sys.stderr if code else sys.stdout).write(text)
+        return code
     try:
         return args.handler(args)
     except (ValueError, OSError) as exc:

@@ -6,8 +6,8 @@ argv of ``test_cli.py``, each with one SHA-256 of what ``cli.main`` gives
 for it: exit code, stdout, stderr and the ``--out`` file.
 ``test_corpus.py`` replays it in-process.
 
-Every argv parses: argparse's own usage and help text differ between
-Python versions, so those are left to the tests that read them.  Indices
+Every argv parses: usage errors and help are left to ``test_parser.py``
+and ``test_cli.py``, which read them line by line.  Indices
 stay small (``area`` reaches index 5,380 at most), so the replay takes
 about a second.
 

@@ -573,8 +573,27 @@ def test_refusal_line(capsys, argv, line):
     assert (code, out, err) == (2, "", f"error: {line}\n")
 
 
-# One parser serves every main() call in a process.  A corpus over every
-# subcommand, all three formats, an argparse error, a refusal and --help.
+class TestSeparateNegativeValues:
+    """A value that starts with a single ``-`` may be its own token."""
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "padovan", "--initial-terms", "-1,0,0", "--count", "6"],
+        ["gen", "padovan", "--initial-terms=-1,0,0", "--count", "6"],
+    ])
+    def test_gen(self, capsys, argv):
+        assert run(capsys, *argv) == (0, "-1\n0\n0\n-1\n0\n-1\n", "")
+
+    def test_verify_refusal(self, capsys):
+        argv = ["verify", "lucas", "--n", "-2..1", "--k", "1", "--m", "3"]
+        line = dict((tuple(a), text) for a, text in REFUSALS)[
+            ("verify", "lucas", "--n=-2..1", "--k", "1", "--m", "3")
+        ]
+        assert run(capsys, *argv) == (2, "", f"error: {line}\n")
+
+
+# One option table serves every main() call in a process, and each call
+# parses into a fresh namespace.  A corpus over every subcommand, all three
+# formats, a usage error, a refusal and --help.
 REUSE_CORPUS = [
     ["gen", "fibonacci", "--count", "12"],
     ["gen", "padovan", "--initial-terms", "1,0,0", "--count", "8", "--format", "csv"],
@@ -598,22 +617,11 @@ def _run_corpus(capsys, corpus):
 
 
 class TestParserReuse:
-    def test_built_once_and_not_on_import(self):
-        result = subprocess.run(
-            [sys.executable, "-c",
-             "import seqarea, seqarea.cli as cli; print(cli.build_parser.cache_info())"],
-            capture_output=True, text=True,
-        )
-        assert result.returncode == 0
-        assert "currsize=0" in result.stdout
-        assert cli.build_parser() is cli.build_parser()
-
-    def test_corpus_is_order_independent(self, capsys, monkeypatch):
+    def test_corpus_is_order_independent(self, capsys):
         forward = _run_corpus(capsys, REUSE_CORPUS)
         backward = _run_corpus(capsys, REUSE_CORPUS[::-1])
-        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
-        fresh = _run_corpus(capsys, REUSE_CORPUS)
-        assert forward == backward == fresh
+        again = _run_corpus(capsys, REUSE_CORPUS)
+        assert forward == backward == again
         codes = sorted(code for code, _, _ in forward.values())
         assert codes == [0] * 11 + [2, 2]
 
@@ -634,12 +642,12 @@ class TestParserReuse:
              ["table", "third-order"]),
         ],
     )
-    def test_options_do_not_leak(self, capsys, monkeypatch, first, second):
-        with monkeypatch.context() as fresh:
-            fresh.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
-            expected = run(capsys, *second)
+    def test_options_do_not_leak(self, capsys, first, second):
+        fresh = subprocess.run(
+            [sys.executable, "-m", "seqarea", *second], capture_output=True, text=True
+        )
         run(capsys, *first)
-        assert run(capsys, *second) == expected
+        assert run(capsys, *second) == (fresh.returncode, fresh.stdout, fresh.stderr)
 
     def test_out_does_not_leak(self, tmp_path, capsys):
         argv = ["verify", "fibonacci", "--n", "1..2", "--k", "1", "--m", "3"]

@@ -304,3 +304,10 @@ def test_third_order_table_matches_reference_writer(fmt, n, k_max, initial):
 @given(twice=st.integers(-(10**60), 10**60))
 def test_area_spells_half_the_absolute_twice_area(twice):
     assert cli._area(twice) == rational_str(Fraction(abs(twice), 2))
+
+
+@pytest.mark.parametrize("text", [
+    'say "MATCH"', "a\\b", "tab\tnew\nline\x00\x1f", "padovan(initial=é,€,😀)", "",
+])
+def test_json_string_token_is_json_dumps(text):
+    assert cli._TOKENS["json"][0](text) == json.dumps(text)

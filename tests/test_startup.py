@@ -1,6 +1,7 @@
-"""What a cold start imports: ``seqarea`` and every CLI subcommand run
-without ``dataclasses``, ``typing`` or ``inspect``, which together take
-about 15 ms of a start on CPython 3.11."""
+"""What a cold start imports: ``seqarea``, every CLI subcommand and
+``--help`` run without ``dataclasses``, ``typing`` or ``inspect``, which
+together take about 15 ms of a start on CPython 3.11, nor ``argparse``
+(which loads ``gettext``) or the ``json`` package (``json.decoder``)."""
 
 import subprocess
 import sys
@@ -9,15 +10,17 @@ from pathlib import Path
 import seqarea
 
 SRC = str(Path(seqarea.__file__).resolve().parents[1])
-UNWANTED = ("dataclasses", "typing", "inspect")
+UNWANTED = ("dataclasses", "typing", "inspect", "argparse", "gettext", "json.decoder")
 
-# One argv per subcommand, run through cli.main with its output captured.
+# One argv per subcommand and one --help, run through cli.main with its
+# output captured.
 ARGVS = [
     ["gen", "padovan", "--count", "12", "--format", "json"],
     ["area", "pell", "--n", "30000", "--k", "5", "--m", "4", "--method", "both"],
     ["verify", "fibonacci", "--n", "0..3", "--k", "1..2", "--m", "3..4",
      "--format", "csv"],
     ["table", "third-order", "--k-max", "3"],
+    ["area", "--help"],
 ]
 
 CHILD = """
