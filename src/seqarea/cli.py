@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import re
 import sys
 from _json import encode_basestring_ascii  # json.encoder's, without loading json
 from collections.abc import Callable, Iterable, Iterator, Sequence
@@ -349,7 +350,7 @@ def render_third_order_table(table: ThirdOrderTable, fmt: str) -> str:
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out:
+    if out is not None:  # an empty path is refused by open(), not ignored
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
@@ -455,6 +456,9 @@ COMMANDS = (
 _GROUPS = {"": "Exact areas of polygons with integer-sequence vertices.",
            "table": "emit a reference table"}
 _HELP_FLAGS = MappingProxyType(dict.fromkeys(("-h", "--help")))
+# argparse's pattern: a token it reads as a positional, since no option
+# looks like a negative number.
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$").match
 
 
 class _Stop(Exception):
@@ -526,8 +530,9 @@ def _help(path: tuple[str, ...], row: tuple | None) -> str:
 def _option(token: str, flags: dict) -> tuple[str, str | None] | None:
     """What ``token`` names among ``flags``, as argparse read it: (flag, its
     ``=`` value or None), ("", None) for an unknown option, or None for a
-    positional.  A unique prefix of a ``--`` flag names that flag."""
-    if token[:1] != "-" or token == "-":
+    positional, a negative number among them.  A unique prefix of a ``--``
+    flag names that flag."""
+    if token[:1] != "-" or token == "-" or _NEGATIVE_NUMBER(token):
         return None
     name, eq, value = token.partition("=")
     found = [name] if name in flags else [f for f in flags if f.startswith(name)]

@@ -7,9 +7,10 @@ orientation-sensitive and no function reorders its input.
 
 The area of one (k, m) pattern at start n is itself a linear recurrence in
 n, of order at most d(d-1)/2 for a family of order d, so
-:func:`twice_polygon_area` answers a large n from a few small-index
-shoelaces: for d <= 3 it derives that recurrence from them and jumps along
-it, on numbers the size of the area rather than of the terms.
+:func:`twice_polygon_area` answers a large n from a few shoelaces near
+index 0: for d <= 3 it derives that recurrence from them and jumps along
+it, on numbers the size of the area rather than of the terms; any other
+polygon's area is the shoelace of its own vertex terms.
 """
 
 from __future__ import annotations
@@ -134,29 +135,20 @@ def twice_shoelace_plane(
 
 def twice_polygon_area(family: SequenceFamily, n: int, k: int, m: int) -> int:
     """Twice the signed area of the m-gon of :func:`build_vertices` (n, k, m),
-    from the surveyor's sum over the family's own terms, by one of three
+    from the surveyor's sum over the family's own terms, by one of two
     routes.
 
     For fixed (k, m) this is a sequence S(n) of order at most d(d-1)/2, for
     d the family's order: each edge's cross product is a 2x2 minor, so by
     Cauchy-Binet S(n) = g . L**n h with L the d(d-1)/2-square matrix of the
-    2x2 minors of the companion matrix.  Where d <= 3 and the polygons at
-    starts 0 .. d(d-1)-1 lie in the small-index table, their shoelaces are
-    S's first d(d-1) values: a start below d(d-1) is read off them, and
+    2x2 minors of the companion matrix.  Where d <= 3 and the polygon at
+    start 0 lies in the small-index table, the shoelaces of the polygons at
+    starts 0 .. d(d-1)-1, from one window of terms from index 0, are S's
+    first d(d-1) values: a start below d(d-1) is read off them, and
     otherwise :func:`_berlekamp_massey` derives S's minimal recurrence from
     them and one jump x**n modulo it weights them.  Every number is the size
-    of the area, not of the terms.
-
-    Elsewhere, with x**n = a_0 + a_1*x + .. + a_(d-1)*x**(d-1) modulo the
-    family's characteristic polynomial, every vertex term is
-    f(n + j*k) = sum(a_i * f(i + j*k)), and the shoelace is bilinear in its
-    x and y columns, so ``2S(n) = sum(a_i * M[i][l] * a_l)`` with M[i][l]
-    the shoelace of the x column of the polygon at start i and the y column
-    of the one at start l.  This bilinear route, d big products, is taken
-    where the polygons at starts 0 .. d-1 lie in the table: orders of 4 and
-    more, and order 3 at 395 < (2m-1)k <= 398.  Past it, a is e_0 at start
-    n: M[0][0] alone, the shoelace of the 2m vertex terms fetched by one
-    strided window.
+    of the area, not of the terms.  Elsewhere the route is the shoelace of
+    the 2m vertex terms, fetched by one strided window.
 
     >>> pell = SequenceFamily.pell()
     >>> [twice_polygon_area(pell, n, 1, 3) for n in range(4)]
@@ -166,28 +158,19 @@ def twice_polygon_area(family: SequenceFamily, n: int, k: int, m: int) -> int:
     True
     """
     check_domain(n, k, m)
-    spec = preset(family)
-    d = spec.order
+    d = preset(family).order
+    if d > 3 or reach(0, k, m) > MAX_SEQUENCE_INDEX:
+        return twice_shoelace(*build_vertices(family, n, k, m))
     count = d * (d - 1)  # twice the order bound of S
-    last = reach(count - 1, k, m)  # the last index the samples read
-    if d <= 3 and last <= MAX_SEQUENCE_INDEX:
-        seq = family_terms(family, 0, last + 1)
-        samples = [twice_shoelace(*vertex_columns(seq, i, k, m)) for i in range(count)]
-        if n < count:
-            return samples[n]
-        recurrence = _berlekamp_massey(samples)
-        if not recurrence:
-            return 0
-        area = RecurrenceSpec(recurrence, samples[: len(recurrence)])
-        return sum(map(operator.mul, _x_power(area, n), samples))
-    weights, start = [1], n
-    if reach(d - 1, k, m) <= MAX_SEQUENCE_INDEX:
-        weights, start = _x_power(spec, n), 0
-    columns = [build_vertices(family, start + i, k, m) for i in range(len(weights))]
-    return sum(
-        a * sum(b * twice_shoelace(xs, ys) for b, (_, ys) in zip(weights, columns))
-        for a, (xs, _) in zip(weights, columns)
-    )
+    seq = family_terms(family, 0, reach(count - 1, k, m) + 1)
+    samples = [twice_shoelace(*vertex_columns(seq, i, k, m)) for i in range(count)]
+    if n < count:
+        return samples[n]
+    recurrence = _berlekamp_massey(samples)
+    if not recurrence:
+        return 0
+    area = RecurrenceSpec(recurrence, samples[: len(recurrence)])
+    return sum(map(operator.mul, _x_power(area, n), samples))
 
 
 def _columns(

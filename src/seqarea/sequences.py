@@ -489,10 +489,11 @@ def terms(spec: RecurrenceSpec, start: int, count: int, step: int = 1) -> list[i
     Windows inside the small-index table are sliced from it.  Otherwise the
     engine jumps to ``start`` by powering x modulo the characteristic
     polynomial and strides by x**step, fetching no term between two it
-    returns; with ``step`` 1 it strides only over the first ``order`` terms
-    and iterates forward from them.  Memory holds only what is returned,
-    never the prefix before it.  A negative start or count or a step below
-    1 is refused; a value that is not an integer raises ``TypeError``.
+    returns; with ``step`` 1 it takes only the first ``order`` terms, from
+    the table if it holds them or by striding, and iterates forward from
+    them.  Memory holds only what is returned and the bounded table, never
+    the prefix past it.  A negative start or count or a step below 1 is
+    refused; a value that is not an integer raises ``TypeError``.
     """
     if operator.index(start) < 0:
         raise ValueError(f"term index must be >= 0, got {start}")
@@ -504,6 +505,8 @@ def terms(spec: RecurrenceSpec, start: int, count: int, step: int = 1) -> list[i
         return list(_small_table(spec)[start : start + count * step : step])
     if step > 1:
         return _strided(spec, start, count, step)
+    if start + spec.order <= MAX_SEQUENCE_INDEX + 1:  # the table holds the head
+        return _extend(spec, list(_small_table(spec)[start:]), count)
     return _extend(spec, _strided(spec, start, min(count, spec.order), 1), count)
 
 

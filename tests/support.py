@@ -14,7 +14,7 @@ from unittest import mock
 
 from seqarea import geometry, sequences
 from seqarea.numerics import QuadElem
-from seqarea.sequences import MAX_SEQUENCE_INDEX, preset, reach
+from seqarea.sequences import MAX_SEQUENCE_INDEX, reach
 
 DEFAULT_SEED = 20240901
 
@@ -70,37 +70,38 @@ def field_axiom_violations(rng: random.Random, d: int, cases: int) -> int:
 
 
 def area_route(order: int, n: int, k: int, m: int) -> str:
-    """The route ``twice_polygon_area`` should take, by its rule: the area's
-    own recurrence ("sample" below d(d-1), where no recurrence is derived)
-    for d <= 3 where the polygons at starts 0 .. d(d-1)-1 lie in the table,
-    else the bilinear form where those at starts 0 .. d-1 do, else the
-    direct shoelace."""
-    count = order * (order - 1)
-    if order <= 3 and reach(count - 1, k, m) <= MAX_SEQUENCE_INDEX:
-        return "sample" if n < count else "recurrence"
-    return "bilinear" if reach(order - 1, k, m) <= MAX_SEQUENCE_INDEX else "direct"
+    """The route ``twice_polygon_area`` should take, by its one rule: the
+    area's own recurrence ("sample" below d(d-1), where no recurrence is
+    derived) for d <= 3 where the polygon at start 0 lies in the table,
+    else the direct shoelace."""
+    if order <= 3 and reach(0, k, m) <= MAX_SEQUENCE_INDEX:
+        return "sample" if n < order * (order - 1) else "recurrence"
+    return "direct"
+
+
+def cells_spanning(spans) -> list[tuple[int, int]]:
+    """Every (k, m) with m >= 3 whose polygon spans (2m-1)k in ``spans``."""
+    return [
+        (span // (2 * m - 1), m)
+        for span in spans
+        for m in range(3, span // 2 + 2)
+        if span % (2 * m - 1) == 0
+    ]
 
 
 def routed_area(family, n: int, k: int, m: int) -> tuple[int, str]:
     """``twice_polygon_area`` and the route it took, seen from what it
-    called: the bilinear form jumps on the family's own recurrence and
-    fetches the polygons at starts 0 .. d-1, the direct route fetches the
-    one at n, and the area's recurrence fetches none (and derives nothing
-    below d(d-1))."""
-    spec = preset(family)
+    called: the direct route fetches the polygon at n and derives nothing,
+    and the area's recurrence fetches no polygon (and derives nothing below
+    d(d-1))."""
     with mock.patch.object(
         geometry, "build_vertices", wraps=geometry.build_vertices
     ) as fetch, mock.patch.object(
-        geometry, "_x_power", wraps=sequences._x_power
-    ) as jump, mock.patch.object(
         geometry, "_berlekamp_massey", wraps=sequences._berlekamp_massey
     ) as derive:
         twice = geometry.twice_polygon_area(family, n, k, m)
-    starts = [call.args[1] for call in fetch.call_args_list]
-    if any(call.args[0] is spec for call in jump.call_args_list):
-        assert starts == list(range(spec.order)) and not derive.called
-        return twice, "bilinear"
     if fetch.called:
-        assert starts == [n] and not (jump.called or derive.called)
+        assert [call.args[1] for call in fetch.call_args_list] == [n]
+        assert not derive.called
         return twice, "direct"
     return twice, "recurrence" if derive.called else "sample"

@@ -531,6 +531,9 @@ REFUSALS = [
     (["table", "third-order", "--n", "-1"], "start index n must be >= 0, got -1"),
     (["table", "third-order", "--k-max", "0"], "k_max must be >= 1, got 0"),
     (["gen", "fibonacci", "--count", "-2"], "--count must be >= 0, got -2"),
+    # an empty --out names no file: refused, not read as stdout
+    (["gen", "fibonacci", "--count", "3", "--out="],
+     "[Errno 2] No such file or directory: ''"),
     # families without a closed form
     (["area", "tribonacci", "--n", "1", "--k", "1", "--m", "3", "--method", "closed"],
      "no closed form for tribonacci"),

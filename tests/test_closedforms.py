@@ -28,7 +28,7 @@ from seqarea.sequences import (
     preset,
     term,
 )
-from support import routed_area
+from support import cells_spanning, routed_area
 
 FAMILIES = [
     SequenceFamily.fibonacci(),
@@ -157,30 +157,31 @@ class TestClosedAreaFor:
             with pytest.raises(ValueError, match="vertex count m"):
                 closed_area_for(family, 1, 2)
 
-    # Every (k, m) with 395 < (2m-1)k <= 398.
-    BILINEAR_BAND = [(44, 5), (36, 6), (12, 17), (4, 50), (1, 199), (2, 100)]
+    # Every (k, m) with 395 < (2m-1)k <= 400: the samples' window passes
+    # the small-index table by up to 5 terms.
+    EDGE = cells_spanning(range(396, 401))
 
     @settings(max_examples=200, deadline=None)
     @given(
         rank=st.integers(3, 12),
         n=st.integers(0, 5000),
-        route=st.sampled_from(["recurrence", "bilinear", "direct"]),
+        route=st.sampled_from(["recurrence", "edge", "direct"]),
         data=st.data(),
     )
     def test_polygonal_sign_matches_oracle(self, rank, n, route, data):
-        # Every oracle route: the area's own recurrence over the small-index
-        # table (5 + (2m-1)k <= 400; a start below 6 is a sample), the
-        # bilinear form at 395 < (2m-1)k <= 398, and past the table
-        # (2 + (2m-1)k > 400) the vertex terms themselves.
+        # Both oracle routes: the area's own recurrence wherever the polygon
+        # at start 0 lies in the small-index table ((2m-1)k <= 400; a start
+        # below 6 is a sample), its edge included, and past the table the
+        # vertex terms themselves.
         if route == "recurrence":
             k, m = data.draw(st.integers(1, 20)), data.draw(st.integers(3, 10))
-        elif route == "bilinear":
-            k, m = data.draw(st.sampled_from(self.BILINEAR_BAND))
+        elif route == "edge":
+            k, m = data.draw(st.sampled_from(self.EDGE))
         else:
-            k, m = data.draw(st.integers(80, 400)), data.draw(st.integers(3, 6))
+            k, m = data.draw(st.integers(81, 400)), data.draw(st.integers(3, 6))
         family = SequenceFamily.polygonal(rank)
         oracle, taken = routed_area(family, n, k, m)
-        assert taken == ("sample" if route == "recurrence" and n < 6 else route)
+        assert taken == ("direct" if route == "direct" else "sample" if n < 6 else "recurrence")
         assert twice_signed_area(family, n, k, m) == oracle < 0
 
 

@@ -607,9 +607,11 @@ FAMILY_GUARDRAIL_DIGESTS = [
 ]
 
 # SHA-256 and length of `area` output at large n, where the oracle multiplies
-# numbers of tens of thousands of bits: jump coefficients against small-index
-# shoelaces, or (at the 20,000 stride) strided vertex terms.  The last two
-# were hashed before the oracle took the jump-coefficient route.
+# numbers of tens of thousands of bits: a jump along the area's own recurrence
+# from shoelaces near index 0, or (at the 20,000 stride) strided vertex
+# terms.  The pell digests at the 20,000 stride and at n = 99,000 were
+# hashed before the oracle took a jump route, and the perrin ones at spans
+# (2m-1)k = 397 and 399 before it took the area's recurrence there.
 LARGE_N_DIGESTS = [
     pytest.param(
         ("area", "pell", "--n", "27549", "--k", "18", "--m", "10", "--method", "both",
@@ -655,8 +657,18 @@ LARGE_N_DIGESTS = [
         (13201, "501c04be09e4af89de288f12e5729eb2b59d48f0b75444202fc05e054ccbd9aa"),
         id="tribonacci-budget-oracle-markdown",
     ),
-    # Polygonal output near the term-index budget: the jump-coefficient
-    # route, the direct route at a large stride and one deep forward `gen`
+    pytest.param(
+        ("area", "perrin", "--n", "99000", "--k", "1", "--m", "199"),
+        (6097, "cfbd2c2885fa70f77d5835faa4cfde476ca73f3accdfeb67c892516de5f3f22d"),
+        id="perrin-budget-span-397-oracle-markdown",
+    ),
+    pytest.param(
+        ("area", "perrin", "--n", "99000", "--k", "1", "--m", "200"),
+        (6097, "9543ebc77196d85778a7ea4d06b281601fa771c6124cdff8f913050a05c24b26"),
+        id="perrin-budget-span-399-oracle-markdown",
+    ),
+    # Polygonal output near the term-index budget: the area's recurrence,
+    # the direct route at a large stride and one deep forward `gen`
     # window, hashed while polygonal terms still came from the figurate
     # formula rather than the recurrence (3, -3, 1).
     pytest.param(

@@ -1,6 +1,6 @@
 """The integer shoelace kernel on grid-slice columns against the columns of
 ``build_vertices``, the grid's plane kernel against it cell by cell, and the
-three routes of the area kernel against the shoelace of the vertex terms.
+two routes of the area kernel against the shoelace of the vertex terms.
 
 ``cyclic_sum`` below is the reference: the cross-product loop written out
 over (x, y) pairs, independent of the kernel's difference form.
@@ -38,7 +38,7 @@ from seqarea.sequences import (
     reach,
 )
 from seqarea.verify import verify_family
-from support import area_route, routed_area
+from support import area_route, cells_spanning, routed_area
 
 NAMED = [
     SequenceFamily.fibonacci(),
@@ -146,26 +146,21 @@ def test_kernel_on_wide_columns(m, bits, seed):
 
 @st.composite
 def area_requests(draw):
-    """(family, n, k, m) on either side of each route rule of
+    """(family, n, k, m) on either side of the one route rule of
     ``twice_polygon_area``, or exactly on it: the area's own recurrence
-    where reach(d(d-1) - 1, k, m) <= MAX_SEQUENCE_INDEX (d <= 3), the
-    bilinear form where reach(d - 1, k, m) is."""
+    where d <= 3 and reach(0, k, m) <= MAX_SEQUENCE_INDEX, the direct
+    shoelace elsewhere.  Near the edge the span (2m-1)k is within 5 of
+    MAX_SEQUENCE_INDEX, where the samples' window passes the table by up to
+    d(d-1) - 1 terms, or just past it."""
     family = draw(FAMILIES)
     d = preset(family).order
-    rule = draw(st.sampled_from(["recurrence", "bilinear"]))
-    last = d * (d - 1) - 1 if rule == "recurrence" else d - 1  # the start it reads
-    free = MAX_SEQUENCE_INDEX - last  # the largest span the rule takes
     side = draw(st.sampled_from(["edge", "past edge", "inside", "outside"]))
     if side in ("edge", "past edge"):
-        m = draw(
-            st.sampled_from(
-                [m for m in range(3, free // 2 + 2) if free % (2 * m - 1) == 0]
-            )
-        )
-        k = free // (2 * m - 1) + (side == "past edge")
+        top = MAX_SEQUENCE_INDEX + 5 * (side == "past edge")
+        k, m = draw(st.sampled_from(cells_spanning(range(top - 4, top + 1))))
     else:
         m = draw(st.integers(3, 12))
-        edge = free // (2 * m - 1)
+        edge = MAX_SEQUENCE_INDEX // (2 * m - 1)
         k = draw(st.integers(1, edge) if side == "inside" else st.integers(edge + 1, edge + 50))
     n = draw(st.one_of(st.integers(0, d * (d - 1) + 1), st.integers(0, 3000)))
     return family, n, k, m
@@ -194,11 +189,10 @@ def repeated_roots(draw):
 @given(family=st.one_of(FAMILIES, repeated_roots()), data=st.data())
 def test_area_recurrence_matches_direct_shoelace(family, data):
     # Starts on both sides of d(d-1), the samples the area's recurrence is
-    # derived from, with every polygon those samples need inside the table.
+    # derived from, with the polygon at start 0 inside the table.
     d = preset(family).order
     m = data.draw(st.integers(3, 12))
-    free = MAX_SEQUENCE_INDEX - max(d * (d - 1) - 1, 0)
-    k = data.draw(st.integers(1, max(free // (2 * m - 1), 1)))
+    k = data.draw(st.integers(1, MAX_SEQUENCE_INDEX // (2 * m - 1)))
     n = data.draw(st.one_of(st.integers(0, 2 * d * (d - 1) + 1), st.integers(0, 3000)))
     want = twice_shoelace(*build_vertices(family, n, k, m))
     assert twice_polygon_area(family, n, k, m) == want
@@ -206,12 +200,18 @@ def test_area_recurrence_matches_direct_shoelace(family, data):
 
 @pytest.mark.parametrize(
     "n, k, m, route",
-    [(99_000, 20, 10, "recurrence"), (99_000, 1, 199, "bilinear"), (0, 20_000, 3, "direct")],
-    ids=["jump-route", "bilinear-route", "direct-route"],
+    [
+        (99_000, 20, 10, "recurrence"),
+        (99_000, 1, 199, "recurrence"),
+        (99_000, 1, 200, "recurrence"),
+        (0, 20_000, 3, "direct"),
+    ],
+    ids=["jump-route", "jump-route-span-397", "jump-route-span-399", "direct-route"],
 )
 def test_polygonal_area_kernel_matches_figurate_form(n, k, m, route):
     # Polygonal numbers are the order-3 recurrence (3, -3, 1): near the
-    # term-index budget they take the same three routes as any other family.
+    # term-index budget they take the same two routes as any other family,
+    # the area's recurrence up to the span (2m-1)k = 400.
     family = SequenceFamily.polygonal(7)
     twice, taken = routed_area(family, n, k, m)
     assert abs(twice) == 2 * closedforms.polygonal_mgon_area(7, k, m)

@@ -19,7 +19,7 @@ import contextlib
 import io
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from argparse_reference import build_parser
@@ -146,8 +146,14 @@ def ours(argv):
         return "exit", stop.args[0]
 
 
+# A negative number is a positional to argparse, here an invalid family.
+NEGATIVE_FAMILY = ["gen", "-5", "--initial-terms", "1,0,0", "--count", "3", "--count", "3",
+                   "fibonacci", "--s", "3", "-h"]
+
+
 @settings(max_examples=600, deadline=None)
 @given(argvs())
+@example((NEGATIVE_FAMILY, NEGATIVE_FAMILY))
 def test_parses_as_argparse_did(case):
     argv, spelled = case
     assert ours(argv) == reference(spelled)
@@ -207,6 +213,10 @@ def test_accepted_shapes(argv, attrs):
     (["tables"], "seqarea", "argument command: invalid choice: 'tables' "
      "(choose from 'gen', 'area', 'verify', 'table')"),
     ([], "seqarea", "the following arguments are required: command"),
+    # a negative number is a positional: here an invalid family
+    (["gen", "-5", "--count", "3"], "seqarea gen",
+     "argument family: invalid choice: '-5' (choose from "
+     + ", ".join(map(repr, FAMILY_NAMES)) + ")"),
 ])
 def test_refused_shapes(capsys, argv, prog, message):
     code, out, err = run(capsys, *argv)
