@@ -20,7 +20,7 @@ import io
 import re
 import sys
 from _json import encode_basestring_ascii  # json.encoder's, without loading json
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from itertools import islice
 from types import MappingProxyType, SimpleNamespace
 
@@ -39,8 +39,8 @@ from .verify import (
     PolygonalTable,
     ThirdOrderCell,
     ThirdOrderTable,
-    VerificationCell,
     VerificationReport,
+    cell_rows,
     polygonal_table,
     rank_name,
     third_order_table,
@@ -117,13 +117,39 @@ _TOKENS: dict[str, tuple[Callable[[str], str], Callable[[int], str], str]] = {
 }
 
 
-def _write_json(value: dict[str, object] | list, header: Sequence[str] = ()) -> str:
+def _lines(line: str, rows: Iterable[tuple], tails: list | None = None) -> list[str]:
+    """``rows`` laid out by the template ``line`` of ``%s`` slots, one
+    string per row.
+
+    Given ``tails``, a row is a run of lines, ``(head, j)``: the tokens of
+    the run's first fields, and the index in ``tails`` of a list of token
+    tuples for the other fields, one per line.  A run's text is its head's
+    text joined over the text of its tails, and each entry of ``tails`` is
+    spelled once, however many runs share it.
+    """
+    if not tails:
+        return list(map(line.__mod__, rows))
+    parts = line.split("%s")
+    lead = len(parts) - 1 - len(tails[0][0])  # the head's slots
+    head, tail = "%s".join(parts[: lead + 1]), "%s" + "%s".join(parts[lead + 1 :])
+    texts = [list(map(tail.__mod__, run_tails)) for run_tails in tails]
+    out = []
+    for tokens, j in rows:
+        text = head % tokens
+        out.append(text + text.join(texts[j]))
+    return out
+
+
+def _write_json(
+    value: dict[str, object] | list, header: Sequence[str] = (), tails: list | None = None
+) -> str:
     """The bytes of ``json.dumps(payload, indent=2) + "\\n"``, where ``value``
     holds the payload's tokens: an object (a dict of fields) or an array.
 
     A field holds a token or an array.  An array holds tokens, or rows: tuples
-    of tokens for objects keyed by ``header``, laid out by one template.  Rows
-    sit only in a field of the top-level object.  The pieces are joined once.
+    of tokens for objects keyed by ``header``, laid out by one template, or
+    given ``tails`` runs of them as :func:`_lines` takes them.  Rows sit only
+    in a field of the top-level object.  The pieces are joined once.
     """
     row = "{\n" + ",\n".join(f'      "{key}": %s' for key in header) + "\n    }"
     pieces: list[str] = []
@@ -132,9 +158,11 @@ def _write_json(value: dict[str, object] | list, header: Sequence[str] = ()) -> 
         if not items:
             pieces.append("[]")
             return
-        item = indent + "  " + (row if isinstance(items[0], tuple) else "%s")
-        pieces.append("[\n" + item % items[0])
-        pieces.extend(map((",\n" + item).__mod__, islice(items, 1, None)))
+        rows = isinstance(items[0], tuple)
+        item = ",\n" + indent + "  " + (row if rows else "%s")
+        lines = _lines(item, items, tails if rows else None)
+        pieces.append("[" + lines[0][1:])  # "[\n" before the first item, not ",\n"
+        pieces.extend(islice(lines, 1, None))
         pieces.append("\n" + indent + "]")
 
     if isinstance(value, list):
@@ -153,19 +181,25 @@ def _write_json(value: dict[str, object] | list, header: Sequence[str] = ()) -> 
     return "".join(pieces)
 
 
-def _write_csv(header: Sequence[str], rows: Iterable[tuple]) -> str:
+def _write_csv(
+    header: Sequence[str], rows: Iterable[tuple], tails: list | None = None
+) -> str:
     """The bytes of ``csv.writer(..., lineterminator="\\n")`` for ``header``
-    and then ``rows``, tuples of tokens."""
+    and then ``rows``, tuples of tokens, or given ``tails`` runs of them as
+    :func:`_lines` takes them."""
     line = ",".join(["%s"] * len(header)) + "\n"
-    return "".join([",".join(header) + "\n", *map(line.__mod__, rows)])
+    return "".join([",".join(header) + "\n", *_lines(line, rows, tails)])
 
 
-def _write_markdown(header: Sequence[str], rows: Iterable[tuple]) -> str:
+def _write_markdown(
+    header: Sequence[str], rows: Iterable[tuple], tails: list | None = None
+) -> str:
     """A markdown table: ``header``, a ``---`` rule, then one line per row,
-    a tuple of values spelled by ``%s``."""
+    a tuple of values spelled by ``%s``, or given ``tails`` runs of lines as
+    :func:`_lines` takes them."""
     line = "| " + " | ".join(["%s"] * len(header)) + " |\n"
     rule = line % (("---",) * len(header))
-    return "".join([line % tuple(header), rule, *map(line.__mod__, rows)])
+    return "".join([line % tuple(header), rule, *_lines(line, rows, tails)])
 
 
 def render_gen(values: list[int], fmt: str) -> str:
@@ -215,47 +249,47 @@ def render_area(
     return value + "\n"
 
 
-def _cell_areas(
-    cells: Iterable[VerificationCell], spell: Callable[[int], str]
-) -> Iterator[tuple[VerificationCell, str, str]]:
-    """Each cell with its oracle and closed areas spelled by ``spell``.
-
-    A grid holds few distinct twice-areas (one S * q**n per (k, m) and sign
-    of q**n, which every matching oracle repeats), so each is spelled once
-    per call, looked up by value.
-    """
-    spelled = functools.cache(spell)
-    return ((c, spelled(c.oracle_twice), spelled(c.closed_twice)) for c in cells)
-
-
 def render_report(report: VerificationReport, fmt: str) -> str:
-    """Serialize a report; equal reports give byte-identical output."""
+    """Serialize a report; equal reports give byte-identical output.
+
+    Each (n, k) row is one run of lines: its head, then one tail per m.  A
+    row's tails are spelled once per body, which rows of one content share;
+    a grid holds few distinct twice-areas (one S * q**n per (k, m) and sign
+    of q**n, which every matching oracle repeats), so each is spelled once,
+    looked up by value.
+    """
     if fmt == "markdown":
-        rows = [
-            (c.n, c.k, c.m, oracle, closed, "MATCH" if c.match else "MISMATCH", c.note)
-            for c, oracle, closed in _cell_areas(report.cells, _area)
+        lead, spell, verdicts, text = (), _area, ("MISMATCH", "MATCH"), str
+    else:
+        text, spell, _ = _TOKENS[fmt]
+        lead, verdicts = (text(report.family.label),), _FLAGS
+    spelled = functools.cache(spell)
+    rows, bodies = cell_rows(report.cells)
+    tails = [
+        [
+            (m, spelled(oracle), spelled(closed), verdicts[match], text(note))
+            for m, oracle, closed, match, note in body
         ]
+        for body in bodies
+    ]
+    runs = [((*lead, n, k), j) for n, k, j in rows]
+    header = ("n", "k", "m", "oracle", "closed", "match", "note")
+    if fmt == "markdown":
         return (
             f"grid: {report.grid}\n"
             f"pass_count: {report.pass_count}\n"
             f"fail_count: {report.fail_count}\n\n"
-        ) + _write_markdown(("n", "k", "m", "oracle", "closed", "match", "note"), rows)
-    text, area, _ = _TOKENS[fmt]
-    label = text(report.family.label)
-    rows = [
-        (label, c.n, c.k, c.m, oracle, closed, _FLAGS[c.match], text(c.note))
-        for c, oracle, closed in _cell_areas(report.cells, area)
-    ]
-    header = ("family", "n", "k", "m", "oracle", "closed", "match", "note")
+        ) + _write_markdown(header, runs, tails)
+    header = ("family", *header)
     if fmt == "csv":
-        return _write_csv(header, rows)
+        return _write_csv(header, runs, tails)
     fields = {
         "grid": text(report.grid),
-        "cells": rows,
+        "cells": runs,
         "pass_count": report.pass_count,
         "fail_count": report.fail_count,
     }
-    return _write_json(fields, header)
+    return _write_json(fields, header, tails)
 
 
 def render_polygonal_table(table: PolygonalTable, fmt: str) -> str:

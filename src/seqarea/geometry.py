@@ -141,7 +141,9 @@ def twice_polygon_area(family: SequenceFamily, n: int, k: int, m: int) -> int:
     For fixed (k, m) this is a sequence S(n) of order at most d(d-1)/2, for
     d the family's order: each edge's cross product is a 2x2 minor, so by
     Cauchy-Binet S(n) = g . L**n h with L the d(d-1)/2-square matrix of the
-    2x2 minors of the companion matrix.  Where d <= 3 and the polygon at
+    2x2 minors of the companion matrix.  At d = 1 that order is 0, so S is
+    0 and no term is fetched: every vertex (x, c**k * x) lies on one line
+    through the origin.  Where d <= 3 and the polygon at
     start 0 lies in the small-index table, the shoelaces of the polygons at
     starts 0 .. d(d-1)-1, from one window of terms from index 0, are S's
     first d(d-1) values: a start below d(d-1) is read off them, and
@@ -159,6 +161,8 @@ def twice_polygon_area(family: SequenceFamily, n: int, k: int, m: int) -> int:
     """
     check_domain(n, k, m)
     d = preset(family).order
+    if d == 1:
+        return 0
     if d > 3 or reach(0, k, m) > MAX_SEQUENCE_INDEX:
         return twice_shoelace(*build_vertices(family, n, k, m))
     count = d * (d - 1)  # twice the order bound of S

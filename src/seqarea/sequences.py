@@ -167,7 +167,7 @@ class SequenceFamily(_Value):
     in n and so with characteristic polynomial (x - 1)^3.
     """
 
-    __slots__ = ("kind", "s", "t", "rank", "initial", "spec", "_recurrence")
+    __slots__ = ("kind", "s", "t", "rank", "initial", "spec", "_recurrence", "_hash")
     __match_args__ = ("kind", "s", "t", "rank", "initial", "spec")
 
     kind: FamilyKind
@@ -221,9 +221,15 @@ class SequenceFamily(_Value):
         else:
             recurrence = _PRESETS[self.kind]
         _setattr(self, "_recurrence", recurrence)
+        _setattr(self, "_hash", hash(self._key()))
 
     def _key(self) -> tuple[object, ...]:
         return self.kind, self.s, self.t, self.rank, self.initial, self.spec
+
+    def __hash__(self) -> int:
+        # Taken once: every closed-form and Binet cache lookup hashes the
+        # family, and a kind hashes through the Python-level Enum.__hash__.
+        return self._hash
 
     @classmethod
     def fibonacci(cls) -> SequenceFamily:

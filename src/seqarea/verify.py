@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import operator
 from collections import namedtuple
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
-from itertools import product
+from itertools import groupby, product, repeat
 
 from .closedforms import _polygonal_coefficient, closed_area_for
 from .geometry import (
@@ -53,6 +53,71 @@ class VerificationReport(
     """All cells of one grid sweep over one family, in deterministic order."""
 
     __slots__ = ()
+
+
+class VerificationCells(Sequence):
+    """A report's cells in n, k, m order, held as (n, k) rows of one width.
+
+    ``rows`` lists (n, k, j) per row, and ``bodies[j]`` that row's cells as
+    (m, oracle_twice, closed_twice, match, note) tuples; rows of one content
+    share one body.  A :class:`VerificationCell` is built only when a cell
+    is read.  Length and indexing take O(1); iteration, ``==``, ``hash`` and
+    ``repr`` are those of the tuple of the cells.
+    """
+
+    __slots__ = ("rows", "bodies", "_width")
+
+    def __init__(
+        self, rows: list[tuple[int, int, int]], bodies: list[tuple], width: int
+    ) -> None:
+        self.rows, self.bodies, self._width = rows, bodies, width
+
+    def __len__(self) -> int:
+        return len(self.rows) * self._width
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self)[index]
+        i = operator.index(index)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("cell index out of range")
+        n, k, j = self.rows[i // self._width]
+        return VerificationCell._make((n, k, *self.bodies[j][i % self._width]))
+
+    def __iter__(self) -> Iterator[VerificationCell]:
+        make, bodies = VerificationCell._make, self.bodies
+        for n, k, j in self.rows:
+            for fields in bodies[j]:
+                yield make((n, k, *fields))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (tuple, VerificationCells)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
+def cell_rows(
+    cells: Sequence[VerificationCell],
+) -> tuple[list[tuple[int, int, int]], list[tuple]]:
+    """The rows and bodies of ``cells``, as :class:`VerificationCells` holds
+    them: a view's own, or else one row and one body per run of cells with
+    one (n, k)."""
+    if isinstance(cells, VerificationCells):
+        return cells.rows, cells.bodies
+    rows: list[tuple[int, int, int]] = []
+    bodies: list[tuple] = []
+    for (n, k), run in groupby(cells, operator.itemgetter(0, 1)):
+        rows.append((n, k, len(bodies)))
+        bodies.append(tuple(cell[2:] for cell in run))
+    return rows, bodies
 
 
 def _as_range(values: Iterable[int], name: str) -> Sequence[int]:
@@ -96,6 +161,12 @@ def verify_family(
     :func:`twice_shoelace_plane` computes it for every cell at once, with a
     collinearity flag; a zero-area cell the flag does not prove goes to
     :func:`collinear` on its own columns.
+
+    The grid is judged by (n, k) rows of one cell per m.  The rows with one
+    (k, q**n) share one tuple of closed twice-areas; a row whose oracles
+    equal it, with no 0 in it, matches in one comparison and shares one
+    body of MATCH cells.  Any other row is judged cell by cell.  The
+    report's ``cells`` is a :class:`VerificationCells` view over the rows.
     """
     # q is the family's Q at every (k, m); a family with no closed form fails first.
     q = closed_area_for(family, 1, 3)[1]
@@ -113,34 +184,56 @@ def verify_family(
     # Every cell's domain holds if the smallest n, k and m are in it; it is
     # checked before the first column or closed form is read.
     check_domain(n_lo, k_lo, m_lo)
-    # One S per (k, m).  Each k's row of closed twice-areas S * q**n, in m
-    # order, is built once per distinct q**n: twice where |q| = 1.
+    # One S per (k, m); the closed twice-areas S * q**n of a (k, n) row, in m
+    # order, are one tuple per distinct (k, q**n): one per k where |q| = 1.
     forms = {(k, m): closed_area_for(family, k, m)[0] for k, m in product(ks, ms)}
-    rows: dict[int, dict[int, list[tuple[int, int]]]] = {}
-    for qn in {q**n for n in ns}:
-        rows[qn] = {k: [(m, forms[k, m] * qn) for m in ms] for k in ks}
+    powers = {n: q**n for n in ns}
+    closed_rows: dict[tuple[int, int], list] = {}  # -> [closed, MATCH body index]
     plane = twice_shoelace_plane(seq, ns, ks, ms)
     twices = zip(*[plane[m][0] for m in ms])
     lines = zip(*[plane[m][1] for m in ms])
-    new_cell = VerificationCell._make  # skips the slower keyword-default __new__
-    cells = []
-    for (n, k), cell_twices, cell_lines in zip(product(ns, ks), twices, lines):
-        for (m, closed), oracle, line in zip(rows[q**n][k], cell_twices, cell_lines):
-            match = oracle == closed
+    rows: list[tuple[int, int, int]] = []
+    bodies: list[tuple] = []
+    judged: dict[tuple, int] = {}  # a body judged cell by cell -> its index
+    passed = 0
+    for (n, k), oracles, flags in zip(product(ns, ks), twices, lines):
+        qn = powers[n]
+        shared = closed_rows.get((k, qn))
+        if shared is None:
+            closed = tuple([forms[k, m] * qn for m in ms])
+            shared = closed_rows[k, qn] = [closed, None]
+        closed = shared[0]
+        if oracles == closed and 0 not in closed:  # the whole row matches
+            if shared[1] is None:
+                shared[1] = len(bodies)
+                bodies.append(tuple(zip(ms, closed, closed, repeat(True), repeat(""))))
+            rows.append((n, k, shared[1]))
+            passed += len(ms)
+            continue
+        row_cells = []
+        for m, oracle, closed_twice, line in zip(ms, oracles, closed, flags):
+            match = oracle == closed_twice
             note = ""
-            if closed == 0:
+            if closed_twice == 0:
                 is_line = line or collinear(*vertex_columns(seq, n, k, m))
                 note = "collinear" if is_line else "NOT COLLINEAR"
                 match = is_line and match
-            cells.append(new_cell((n, k, m, oracle, closed, match, note)))
-    passed = sum(c.match for c in cells)
+            row_cells.append((m, oracle, closed_twice, match, note))
+            passed += match
+        # Rows judged alike (a Jacobsthal grid's, all collinear) share a body.
+        body = tuple(row_cells)
+        j = judged.setdefault(body, len(bodies))
+        if j == len(bodies):
+            bodies.append(body)
+        rows.append((n, k, j))
+    cells = VerificationCells(rows, bodies, len(ms))
     return VerificationReport(
         family=family,
         grid=(
             f"family={family.label} n={ns[0]}..{ns[-1]} "
             f"k={ks[0]}..{ks[-1]} m={ms[0]}..{ms[-1]}"
         ),
-        cells=tuple(cells),
+        cells=cells,
         pass_count=passed,
         fail_count=len(cells) - passed,
     )

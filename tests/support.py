@@ -12,6 +12,8 @@ import random
 from fractions import Fraction
 from unittest import mock
 
+from hypothesis import strategies as st
+
 from seqarea import geometry, sequences
 from seqarea.numerics import QuadElem
 from seqarea.sequences import MAX_SEQUENCE_INDEX, reach
@@ -70,10 +72,13 @@ def field_axiom_violations(rng: random.Random, d: int, cases: int) -> int:
 
 
 def area_route(order: int, n: int, k: int, m: int) -> str:
-    """The route ``twice_polygon_area`` should take, by its one rule: the
-    area's own recurrence ("sample" below d(d-1), where no recurrence is
-    derived) for d <= 3 where the polygon at start 0 lies in the table,
-    else the direct shoelace."""
+    """The route ``twice_polygon_area`` should take, by its one rule: none
+    ("zero") for d = 1, whose area is 0; the area's own recurrence
+    ("sample" below d(d-1), where no recurrence is derived) for d <= 3
+    where the polygon at start 0 lies in the table; else the direct
+    shoelace."""
+    if order == 1:
+        return "zero"
     if order <= 3 and reach(0, k, m) <= MAX_SEQUENCE_INDEX:
         return "sample" if n < order * (order - 1) else "recurrence"
     return "direct"
@@ -92,16 +97,39 @@ def cells_spanning(spans) -> list[tuple[int, int]]:
 def routed_area(family, n: int, k: int, m: int) -> tuple[int, str]:
     """``twice_polygon_area`` and the route it took, seen from what it
     called: the direct route fetches the polygon at n and derives nothing,
-    and the area's recurrence fetches no polygon (and derives nothing below
-    d(d-1))."""
+    the area's recurrence fetches no polygon (and derives nothing below
+    d(d-1)), and "zero" fetches no term at all."""
     with mock.patch.object(
         geometry, "build_vertices", wraps=geometry.build_vertices
     ) as fetch, mock.patch.object(
+        geometry, "family_terms", wraps=geometry.family_terms
+    ) as window, mock.patch.object(
         geometry, "_berlekamp_massey", wraps=sequences._berlekamp_massey
     ) as derive:
         twice = geometry.twice_polygon_area(family, n, k, m)
+    if not (fetch.called or window.called):
+        return twice, "zero"
     if fetch.called:
         assert [call.args[1] for call in fetch.call_args_list] == [n]
         assert not derive.called
         return twice, "direct"
     return twice, "recurrence" if derive.called else "sample"
+
+
+@st.composite
+def grid_values(draw, lo, hi):
+    """One grid axis as ``verify_family`` takes it: an ascending or
+    descending range, a single value, or a list, unsorted and duplicated."""
+    a, b = sorted([draw(st.integers(lo, hi)), draw(st.integers(lo, hi))])
+    kind = draw(st.sampled_from(["range", "descending", "single", "list"]))
+    if kind == "range":
+        return range(a, b + 1)
+    if kind == "descending":
+        return range(b, a - 1, -1)
+    if kind == "single":
+        return [a]
+    values = draw(st.lists(st.integers(lo, hi), min_size=1, max_size=5))
+    return values + values[:1]
+
+
+GRIDS = {"ns": grid_values(0, 40), "ks": grid_values(1, 12), "ms": grid_values(3, 12)}

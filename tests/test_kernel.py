@@ -38,7 +38,7 @@ from seqarea.sequences import (
     reach,
 )
 from seqarea.verify import verify_family
-from support import area_route, cells_spanning, routed_area
+from support import GRIDS, area_route, cells_spanning, routed_area
 
 NAMED = [
     SequenceFamily.fibonacci(),
@@ -218,6 +218,24 @@ def test_polygonal_area_kernel_matches_figurate_form(n, k, m, route):
     assert taken == route
 
 
+@pytest.mark.parametrize(
+    "coefficient, initial, n, k, m",
+    [
+        (3, 1, 5, 2, 4),  # inside the table
+        (-2, 5, 0, 1, 200),  # on the span rule
+        (3, 1, 99_000, 100, 3),  # past the table
+        (3, 1, 0, 20_000, 3),  # stride past the table
+        (0, 7, 0, 1, 3),  # f = 7, 0, 0, ..
+    ],
+)
+def test_order_one_area_is_zero_from_no_term(coefficient, initial, n, k, m):
+    # Every vertex (x, c**k * x) lies on one line through the origin.
+    family = SequenceFamily.custom(RecurrenceSpec((coefficient,), (initial,)))
+    twice, route = routed_area(family, n, k, m)
+    assert twice == twice_shoelace(*build_vertices(family, n, k, m)) == 0
+    assert route == "zero"
+
+
 def _zero(family, k, m):
     return 0, 1
 
@@ -246,25 +264,6 @@ def test_zero_area_cells_judged_by_collinear(case, n, k):
         assert cell.note == ("collinear" if is_line else "NOT COLLINEAR")
         assert cell.match == (is_line and shoelace_signed(*poly) == 0)
         assert cell.oracle_twice == 2 * shoelace_signed(*poly)
-
-
-@st.composite
-def grid_values(draw, lo, hi):
-    """One grid axis as ``verify_family`` takes it: an ascending or
-    descending range, a single value, or a list, unsorted and duplicated."""
-    a, b = sorted([draw(st.integers(lo, hi)), draw(st.integers(lo, hi))])
-    kind = draw(st.sampled_from(["range", "descending", "single", "list"]))
-    if kind == "range":
-        return range(a, b + 1)
-    if kind == "descending":
-        return range(b, a - 1, -1)
-    if kind == "single":
-        return [a]
-    values = draw(st.lists(st.integers(lo, hi), min_size=1, max_size=5))
-    return values + values[:1]
-
-
-GRIDS = {"ns": grid_values(0, 40), "ks": grid_values(1, 12), "ms": grid_values(3, 12)}
 
 
 def grid_slice(family, ns, ks, ms):

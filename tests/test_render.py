@@ -16,7 +16,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqarea import cli, closedforms, verify
@@ -39,6 +39,7 @@ from seqarea.verify import (
     third_order_table,
     verify_family,
 )
+from support import GRIDS
 
 # Every character a JSON or CSV writer must escape or quote, and non-ASCII.
 AWKWARD_LABEL = 'q "x", back\\slash\nnew line, Ümlaut ∑ 😀'
@@ -175,6 +176,87 @@ def test_matches_reference_writer(fmt, index):
 def test_json_round_trips(index):
     report = REPORTS[index]
     assert json.loads(render_report(report, "json")) == payload(report)
+
+
+GRID_FAMILIES = st.one_of(
+    st.sampled_from([
+        SequenceFamily.fibonacci(), SequenceFamily.lucas(), SequenceFamily.pell(),
+        SequenceFamily.pell_lucas(), SequenceFamily.jacobsthal(),
+        SequenceFamily.jacobsthal_lucas(),
+    ]),
+    st.builds(SequenceFamily.generalized, st.integers(-6, 6), st.integers(-6, 6)),
+    st.builds(SequenceFamily.polygonal, st.integers(3, 12)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    family=GRID_FAMILIES,
+    broken=st.sets(st.tuples(st.integers(1, 12), st.integers(3, 12)), max_size=6),
+    zero=st.booleans(),
+    **GRIDS,
+)
+def test_rows_render_as_the_cells(family, broken, zero, ns, ks, ms):
+    # A closed form patched at the (k, m) in ``broken`` (to 0, or S + 1)
+    # fails the rows that hold them, which are judged and spelled cell by
+    # cell beside the shared rows of the rest.  The same cells as a plain
+    # tuple render the same bytes.
+    real = closedforms.closed_area_for
+
+    def patched(family, k, m):
+        twice, q = real(family, k, m)
+        if (k, m) in broken:
+            return (0 if zero else twice + 1), q
+        return twice, q
+
+    with mock.patch.object(verify, "closed_area_for", patched):
+        report = verify_family(family, ns, ks, ms)
+    flat = report._replace(cells=tuple(report.cells))
+    assert report.pass_count == sum(cell.match for cell in flat.cells)
+    for fmt in ("json", "csv", "markdown"):
+        want = reference_report(flat, fmt)
+        assert render_report(report, fmt) == want
+        assert render_report(flat, fmt) == want
+
+
+class _NoCell:
+    """Stands in for VerificationCell: building or reading one fails."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"VerificationCell.{name} read")
+
+    def __call__(self, *args, **kwargs):
+        raise AssertionError("VerificationCell built")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "markdown"])
+@pytest.mark.parametrize(
+    "family", [["fibonacci"], ["jacobsthal"], ["polygonal", "--rank", "5"]],
+    ids=lambda family: family[0],
+)
+def test_verify_command_builds_no_cell(capsys, fmt, family):
+    argv = ["verify", *family, "--n", "0..20", "--k", "1..20", "--m", "3..10",
+            "--format", fmt]
+    want = cli.main(argv), capsys.readouterr().out
+    with mock.patch.object(verify, "VerificationCell", _NoCell()):
+        got = cli.main(argv), capsys.readouterr().out
+    assert got == want and want[0] == 0
+
+
+def test_failing_verify_command_builds_no_cell(capsys):
+    # A failing grid judges its rows cell by cell, and still builds no cell.
+    real = closedforms.closed_area_for
+
+    def broken(family, k, m):
+        twice, q = real(family, k, m)
+        return (twice + (k == 2)), q
+
+    argv = ["verify", "pell", "--n", "0..5", "--k", "1..3", "--m", "3..5"]
+    with mock.patch.object(verify, "closed_area_for", broken):
+        want = cli.main(argv), capsys.readouterr().out
+        with mock.patch.object(verify, "VerificationCell", _NoCell()):
+            got = cli.main(argv), capsys.readouterr().out
+    assert got == want and want[0] == 1 and "MISMATCH" in want[1]
 
 
 def test_empty_report_json():

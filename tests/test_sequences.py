@@ -5,6 +5,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -101,6 +102,17 @@ class TestPresets:
     )
     def test_recurrence_built_once(self, family):
         assert preset(family) is preset(family)
+
+    def test_family_hash_is_taken_once(self):
+        # Equal families hash equal: custom specs that differ only in label,
+        # and a pickled copy, whose hash is taken again by the constructor.
+        family = SequenceFamily.custom(RecurrenceSpec((3, -1), (1, 4), "demo"))
+        relabelled = SequenceFamily.custom(RecurrenceSpec((3, -1), (1, 4), "other"))
+        copy = pickle.loads(pickle.dumps(family))
+        with mock.patch.object(SequenceFamily, "_key", side_effect=AssertionError):
+            hashes = {hash(family), hash(relabelled), hash(copy)}
+        assert hashes == {hash((FamilyKind.CUSTOM, None, None, None, None, family.spec))}
+        assert family == relabelled == copy
 
     def test_family_value_ignores_its_recurrence(self):
         family = SequenceFamily.generalized(2, 3)

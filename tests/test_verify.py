@@ -1,3 +1,4 @@
+import pickle
 import tracemalloc
 from fractions import Fraction
 
@@ -93,6 +94,27 @@ class TestVerifyFamily:
         assert report.fail_count == 0
         assert report.pass_count == len(report.cells) == 9 * 6 * 6
         assert all(c.closed_twice == 0 and c.note == "collinear" for c in report.cells)
+
+    @pytest.mark.parametrize(
+        "family", [SequenceFamily.pell(), SequenceFamily.jacobsthal()],
+        ids=["shared-rows", "rows-judged-by-cell"],
+    )
+    def test_cells_view_is_the_tuple_of_its_cells(self, family):
+        # Unsorted and duplicated axes; the view builds each cell it is asked for.
+        report = verify_family(family, [0, 3, 0], range(1, 4), [3, 5, 4, 3])
+        view, cells = report.cells, tuple(report.cells)
+        assert len(view) == len(cells) == 3 * 3 * 4
+        assert [view[i] for i in range(-len(cells), len(cells))] == [*cells, *cells]
+        for index in (len(cells), -len(cells) - 1):
+            with pytest.raises(IndexError):
+                view[index]
+        assert view[2:7] == cells[2:7] and view[::-5] == cells[::-5]
+        assert view == cells and cells == view and not view != cells
+        assert view != list(cells) and view != cells[1:]
+        assert hash(view) == hash(cells) and repr(view) == repr(cells)
+        assert report == report._replace(cells=cells)
+        assert view.index(cells[5]) == 5 and cells[5] in view
+        assert pickle.loads(pickle.dumps(report)) == report
 
     def test_report_counts_are_consistent(self):
         report = verify_family(
