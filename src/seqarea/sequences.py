@@ -17,7 +17,7 @@ import functools
 import math
 import operator
 from collections import deque
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
 from .numerics import QuadElem, _split_square
@@ -322,6 +322,21 @@ def reach(n: int, k: int, m: int) -> int:
     return n + (2 * m - 1) * k
 
 
+def _as_range(values: Iterable[int], name: str) -> Sequence[int]:
+    """One nonempty grid axis: a range as it is, its length and ends read
+    without a list, and other values as a list of checked integers."""
+    out = values if isinstance(values, range) else list(map(operator.index, values))
+    if not out:
+        raise ValueError(f"{name} range must be nonempty")
+    return out
+
+
+def _ends(values: Sequence[int]) -> tuple[int, int]:
+    """Smallest and largest value; a range is read at its two ends only."""
+    ends = (values[0], values[-1]) if isinstance(values, range) else values
+    return min(ends), max(ends)
+
+
 # Grid guardrail: the largest sequence index a verification grid may reach.
 # It keeps term sizes in the low hundreds of digits and grid runs in seconds,
 # and every index up to it is read from one bounded table per recurrence
@@ -584,7 +599,7 @@ def binet_params(family: SequenceFamily) -> BinetParams:
     (polygonal numbers among them) and c1 = 0 (rational roots 1 and -1) have
     no such form.
 
-    Derived once per family value, as ``closedforms._horadam`` is: equal
+    Derived once per family value, as ``closedforms._closed_form`` is: equal
     families (custom specs that differ only in ``label`` too) get the same
     object, which is safe to share because ``BinetParams`` and its
     ``QuadElem`` fields are immutable.  An unsupported family raises on

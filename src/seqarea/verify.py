@@ -15,7 +15,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from itertools import groupby, product, repeat
 
-from .closedforms import _polygonal_coefficient, closed_area_for
+from .closedforms import _closed_form, _polygonal_coefficient, closed_areas
 from .geometry import (
     collinear,
     twice_shoelace,
@@ -29,6 +29,8 @@ from .sequences import (
     FamilyKind,
     SequenceFamily,
     UnsupportedFamilyError,
+    _as_range,
+    _ends,
     check_domain,
     check_term_budget,
     family_terms,
@@ -120,21 +122,6 @@ def cell_rows(
     return rows, bodies
 
 
-def _as_range(values: Iterable[int], name: str) -> Sequence[int]:
-    # A range stays a range: its length and ends are read without a list.
-    # Other values are checked to be integers here, once.
-    out = values if isinstance(values, range) else list(map(operator.index, values))
-    if not out:
-        raise ValueError(f"{name} range must be nonempty")
-    return out
-
-
-def _ends(values: Sequence[int]) -> tuple[int, int]:
-    """Smallest and largest value; a range is read at its two ends only."""
-    ends = (values[0], values[-1]) if isinstance(values, range) else values
-    return min(ends), max(ends)
-
-
 def _size(values: Sequence[int]) -> int:
     """``len`` of a nonempty axis, which overflows past sys.maxsize for a range."""
     if isinstance(values, range):
@@ -150,7 +137,8 @@ def verify_family(
 ) -> VerificationReport:
     """Compare shoelace oracle and closed-form area over a full (n, k, m) grid.
 
-    Covers every family :func:`closed_area_for` answers.  A cell passes if
+    Covers every family :func:`closed_areas` answers, which gives every
+    (k, m)'s S and the family's q from one slice of U.  A cell passes if
     its oracle equals the closed form S * q**n, sign included; a cell whose
     closed area is 0 must also have collinear vertices, and its note says
     ``collinear`` or ``NOT COLLINEAR``.  Cell order is fixed: n outer,
@@ -168,8 +156,7 @@ def verify_family(
     body of MATCH cells.  Any other row is judged cell by cell.  The
     report's ``cells`` is a :class:`VerificationCells` view over the rows.
     """
-    # q is the family's Q at every (k, m); a family with no closed form fails first.
-    q = closed_area_for(family, 1, 3)[1]
+    _closed_form(family)  # a family with no closed form is refused first
     ns = _as_range(n_range, "n")
     ks = _as_range(k_range, "k")
     ms = _as_range(m_range, "m")
@@ -184,9 +171,10 @@ def verify_family(
     # Every cell's domain holds if the smallest n, k and m are in it; it is
     # checked before the first column or closed form is read.
     check_domain(n_lo, k_lo, m_lo)
-    # One S per (k, m); the closed twice-areas S * q**n of a (k, n) row, in m
-    # order, are one tuple per distinct (k, q**n): one per k where |q| = 1.
-    forms = {(k, m): closed_area_for(family, k, m)[0] for k, m in product(ks, ms)}
+    # One S per (k, m) from one slice of U; the closed twice-areas S * q**n
+    # of a (k, n) row, in m order, are one tuple per distinct (k, q**n): one
+    # per k where |q| = 1.
+    forms, q = closed_areas(family, ks, ms)
     powers = {n: q**n for n in ns}
     closed_rows: dict[tuple[int, int], list] = {}  # -> [closed, MATCH body index]
     plane = twice_shoelace_plane(seq, ns, ks, ms)

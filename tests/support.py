@@ -14,7 +14,7 @@ from unittest import mock
 
 from hypothesis import strategies as st
 
-from seqarea import geometry, sequences
+from seqarea import closedforms, geometry, sequences
 from seqarea.numerics import QuadElem
 from seqarea.sequences import MAX_SEQUENCE_INDEX, reach
 
@@ -133,3 +133,14 @@ def grid_values(draw, lo, hi):
 
 
 GRIDS = {"ns": grid_values(0, 40), "ks": grid_values(1, 12), "ms": grid_values(3, 12)}
+
+
+def closed_areas_with(fault):
+    """A stand-in for ``verify.closed_areas``: the grid's own closed forms,
+    with each (k, m)'s S passed through ``fault(k, m, S)``."""
+
+    def closed_areas(family, ks, ms):
+        forms, q = closedforms.closed_areas(family, ks, ms)
+        return {(k, m): fault(k, m, twice) for (k, m), twice in forms.items()}, q
+
+    return closed_areas

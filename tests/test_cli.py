@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from itertools import product
 
 import pytest
 
@@ -228,7 +229,10 @@ class TestVerify:
         assert first == second
 
     def test_failing_grid_exits_one(self, capsys, monkeypatch):
-        monkeypatch.setattr(verify, "closed_area_for", lambda family, k, m: (1998, 1))
+        monkeypatch.setattr(
+            verify, "closed_areas",
+            lambda family, ks, ms: (dict.fromkeys(product(ks, ms), 1998), 1),
+        )
         code, out, _ = run(
             capsys, "verify", "fibonacci", "--n", "1..1", "--k", "1..1", "--m", "3..3"
         )
@@ -236,9 +240,9 @@ class TestVerify:
         assert "fail_count: 1" in out
 
     def test_sign_error_fails_odd_n(self, capsys, monkeypatch):
-        real = closedforms.closed_area_for
+        real = closedforms.closed_areas
         monkeypatch.setattr(
-            verify, "closed_area_for", lambda *args: (real(*args)[0], -real(*args)[1])
+            verify, "closed_areas", lambda *args: (real(*args)[0], -real(*args)[1])
         )
         code, out, _ = run(
             capsys, "verify", "fibonacci", "--n", "0..1", "--k", "1..2", "--m", "3..4",
@@ -567,6 +571,11 @@ REFUSALS = [
      "start index n must be >= 0, got -1"),
     (["table", "third-order", "--n", "-1", "--k-max", "30000"],
      "request reaches sequence index 149999, beyond the 100000 term-index budget"),
+    # a verify grid: no closed form, then the guardrail, then the domain
+    (["verify", "tribonacci", "--n", "0..999", "--k", "1", "--m", "3"],
+     "no closed form for tribonacci"),
+    (["verify", "fibonacci", "--n", "0..999", "--k", "0", "--m", "3"],
+     "grid reaches sequence index 999, beyond the 400 guardrail"),
 ]
 
 

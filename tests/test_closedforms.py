@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seqarea import closedforms, sequences
 from seqarea.closedforms import (
     closed_area_for,
+    closed_areas,
     closed_triangle_area,
     general_mgon_area,
     general_triangle_area,
@@ -28,7 +30,8 @@ from seqarea.sequences import (
     preset,
     term,
 )
-from support import cells_spanning, routed_area
+from seqarea.verify import verify_family
+from support import cells_spanning, grid_values, routed_area
 
 FAMILIES = [
     SequenceFamily.fibonacci(),
@@ -183,6 +186,73 @@ class TestClosedAreaFor:
         oracle, taken = routed_area(family, n, k, m)
         assert taken == ("direct" if route == "direct" else "sample" if n < 6 else "recurrence")
         assert twice_signed_area(family, n, k, m) == oracle < 0
+
+
+# Every CLI family with a closed form, and order-2 custom families with
+# Q in {0, +-1, +-2, 3} (c1 = 0 among them).
+GRID_FAMILIES = st.one_of(
+    st.sampled_from([
+        SequenceFamily.fibonacci(), SequenceFamily.lucas(), SequenceFamily.pell(),
+        SequenceFamily.pell_lucas(), SequenceFamily.jacobsthal(),
+        SequenceFamily.jacobsthal_lucas(),
+    ]),
+    st.builds(SequenceFamily.generalized, st.integers(-6, 6), st.integers(-6, 6)),
+    st.builds(SequenceFamily.polygonal, st.integers(3, 12)),
+    st.builds(
+        custom,
+        st.one_of(st.just(0), st.integers(-4, 4)),
+        st.sampled_from([0, 1, -1, 2, -2, 3]),
+        st.integers(-5, 5),
+        st.integers(-5, 5),
+    ),
+)
+
+
+class TestClosedAreas:
+    """The grid dispatch against the one-cell dispatch."""
+
+    # (2m - 2)k reaches 20 * 20 = 400, the guardrail, at the largest k and m.
+    @settings(max_examples=300, deadline=None)
+    @given(family=GRID_FAMILIES, ks=grid_values(1, 20), ms=grid_values(3, 11))
+    def test_equals_closed_area_for(self, family, ks, ms):
+        forms, q = closed_areas(family, ks, ms)
+        assert set(forms) == {(k, m) for k in ks for m in ms}
+        for (k, m), twice in forms.items():
+            assert closed_area_for(family, k, m) == (twice, q)
+
+    def test_verify_reads_u_through_one_terms_call(self, monkeypatch):
+        # Lucas numbers: their U, the Fibonacci numbers, is another recurrence.
+        u, real = RecurrenceSpec((1, 1), (0, 1)), sequences.terms
+        reads = []
+
+        def counting(spec, *args):
+            if spec == u:
+                reads.append(args)
+            return real(spec, *args)
+
+        def no_term(spec, n):
+            raise AssertionError(f"term({n}) read one cell's U")
+
+        monkeypatch.setattr(sequences, "terms", counting)
+        monkeypatch.setattr(closedforms, "terms", counting, raising=False)
+        monkeypatch.setattr(closedforms, "term", no_term)
+        report = verify_family(SequenceFamily.lucas(), range(21), range(1, 21), range(3, 11))
+        assert (len(report.cells), report.fail_count) == (3360, 0)
+        assert reads == [(0, 361)]
+
+    def test_refusals_in_order(self):
+        fib = SequenceFamily.fibonacci()
+        refusals = [
+            (SequenceFamily.tribonacci(), [0], [2], "no closed form for tribonacci"),
+            (fib, [], [3], "k range must be nonempty"),
+            (fib, [0], [2], "stride k must be >= 1, got 0"),
+            (fib, [1], [2], "vertex count m must be >= 3, got 2"),
+            (fib, range(1, 21), [12], "U up to index 440, beyond the 400 guardrail"),
+            (SequenceFamily.polygonal(5), [101], [3], "U up to index 404"),
+        ]
+        for family, ks, ms, line in refusals:
+            with pytest.raises(ValueError, match=line):
+                closed_areas(family, ks, ms)
 
 
 class TestPaperForms:

@@ -10,7 +10,8 @@ import hashlib
 
 import pytest
 
-from seqarea import cli, closedforms, verify
+from seqarea import cli, verify
+from support import closed_areas_with
 
 VERIFY_PELL_MARKDOWN = """\
 grid: family=pell n=0..1 k=1..2 m=3..4
@@ -805,17 +806,14 @@ def test_polygonal_mismatch_lines(capsys, monkeypatch):
 def test_failing_grid_bytes(capsys, monkeypatch, fmt, expected):
     # The closed form S * q**n with S = 0 at (k, m) = (1, 3) and |S| one
     # unit further from zero at (2, 4).
-    real = closedforms.closed_area_for
-
-    def broken(family, k, m):
-        twice, q = real(family, k, m)
+    def broken(k, m, twice):
         if (k, m) == (1, 3):
-            return 0, q
+            return 0
         if (k, m) == (2, 4):
-            return twice + (1 if twice > 0 else -1), q
-        return twice, q
+            return twice + (1 if twice > 0 else -1)
+        return twice
 
-    monkeypatch.setattr(verify, "closed_area_for", broken)
+    monkeypatch.setattr(verify, "closed_areas", closed_areas_with(broken))
     assert cli.main([*VERIFY_FAILING, "--format", fmt]) == 1
     assert capsys.readouterr().out == expected
 

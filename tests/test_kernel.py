@@ -236,8 +236,14 @@ def test_order_one_area_is_zero_from_no_term(coefficient, initial, n, k, m):
     assert route == "zero"
 
 
-def _zero(family, k, m):
-    return 0, 1
+def zero_closed_forms():
+    """Patch verify's closed forms to S = 0 and q = 1 at every (k, m), for
+    any family, one with no closed form too."""
+    return mock.patch.multiple(
+        verify,
+        _closed_form=lambda family: None,
+        closed_areas=lambda family, ks, ms: (dict.fromkeys(product(ks, ms), 0), 1),
+    )
 
 
 # The Jacobsthal pair reaches the collinearity check with its own closed
@@ -255,7 +261,7 @@ ZERO_CLOSED = st.one_of(
 @given(case=ZERO_CLOSED, n=st.integers(0, 40), k=st.integers(1, 12))
 def test_zero_area_cells_judged_by_collinear(case, n, k):
     family, patched = case
-    with mock.patch.object(verify, "closed_area_for", _zero) if patched else nullcontext():
+    with zero_closed_forms() if patched else nullcontext():
         report = verify_family(family, [n], [k], range(3, 7))
     for cell in report.cells:
         poly = build_vertices(family, cell.n, cell.k, cell.m)
@@ -291,21 +297,20 @@ def test_plane_matches_cell_kernels(family, ns, ks, ms):
 def test_report_matches_per_cell_route(family, ns, ks, ms):
     # A family with no closed form gets 0 for every (k, m), so each of its
     # cells goes through the collinearity check.  Every order-2 family has
-    # one, read per n where |Q| != 1.
+    # one, read per n where |Q| != 1 and per (k, m) from the one-cell dispatch.
     try:
         closedforms.closed_area_for(family, 1, 3)
-        patch = nullcontext()
+        patch, closed_area = nullcontext(), closedforms.closed_area_for
     except UnsupportedFamilyError:
-        patch = mock.patch.object(verify, "closed_area_for", _zero)
+        patch, closed_area = zero_closed_forms(), lambda family, k, m: (0, 1)
     with patch:
         report = verify_family(family, ns, ks, ms)
-        forms = {(k, m): verify.closed_area_for(family, k, m) for k in ks for m in ms}
     seq = grid_slice(family, ns, ks, ms)
     want = []
     for n, k, m in product(ns, ks, ms):
         xs, ys = vertex_columns(seq, n, k, m)
         oracle = twice_shoelace(xs, ys)
-        twice, q = forms[k, m]
+        twice, q = closed_area(family, k, m)
         closed = twice * q**n
         match, note = oracle == closed, ""
         if closed == 0:
@@ -326,8 +331,7 @@ ALL_ZERO = SequenceFamily.custom(RecurrenceSpec((1, 0), (0, 0), "zero"))
 def test_collinear_decides_only_unflagged_cells(family, fallbacks):
     # On the guardrail grid the flags prove every Jacobsthal cell collinear;
     # an all-zero family has P_1 = P_0 everywhere and falls back every time.
-    zero = mock.patch.object(verify, "closed_area_for", _zero)
-    with zero if family is ALL_ZERO else nullcontext():
+    with zero_closed_forms() if family is ALL_ZERO else nullcontext():
         with mock.patch.object(verify, "collinear", wraps=collinear) as fallback:
             report = verify_family(family, range(21), range(1, 21), range(3, 11))
     assert (len(report.cells), report.fail_count) == (3360, 0)

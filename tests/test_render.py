@@ -39,7 +39,7 @@ from seqarea.verify import (
     third_order_table,
     verify_family,
 )
-from support import GRIDS
+from support import GRIDS, closed_areas_with
 
 # Every character a JSON or CSV writer must escape or quote, and non-ASCII.
 AWKWARD_LABEL = 'q "x", back\\slash\nnew line, Ümlaut ∑ 😀'
@@ -129,16 +129,13 @@ def reports() -> list[VerificationReport]:
     grid = (range(0, 3), range(1, 4), range(3, 6))
     passing = verify_family(awkward((2, 5)), *grid)
     collinear = verify_family(awkward((1, 2), (1, 2)), *grid)
-    real = closedforms.closed_area_for
-
-    def broken(family, k, m):
+    def broken(k, m, twice):
         # Right at m = 3, S = 0 (never collinear here) at k = 1, else S + 1.
-        twice, q = real(family, k, m)
         if m == 3:
-            return twice, q
-        return (0 if k == 1 else twice + 1), q
+            return twice
+        return 0 if k == 1 else twice + 1
 
-    with mock.patch.object(verify, "closed_area_for", broken):
+    with mock.patch.object(verify, "closed_areas", closed_areas_with(broken)):
         failing = verify_family(awkward((2, 5)), *grid)
     # A report not made by verify_family: one area with opposite signs (a
     # mismatch spelled alike), negative twice-areas and a note needing quotes.
@@ -201,15 +198,12 @@ def test_rows_render_as_the_cells(family, broken, zero, ns, ks, ms):
     # fails the rows that hold them, which are judged and spelled cell by
     # cell beside the shared rows of the rest.  The same cells as a plain
     # tuple render the same bytes.
-    real = closedforms.closed_area_for
-
-    def patched(family, k, m):
-        twice, q = real(family, k, m)
+    def patched(k, m, twice):
         if (k, m) in broken:
-            return (0 if zero else twice + 1), q
-        return twice, q
+            return 0 if zero else twice + 1
+        return twice
 
-    with mock.patch.object(verify, "closed_area_for", patched):
+    with mock.patch.object(verify, "closed_areas", closed_areas_with(patched)):
         report = verify_family(family, ns, ks, ms)
     flat = report._replace(cells=tuple(report.cells))
     assert report.pass_count == sum(cell.match for cell in flat.cells)
@@ -245,14 +239,11 @@ def test_verify_command_builds_no_cell(capsys, fmt, family):
 
 def test_failing_verify_command_builds_no_cell(capsys):
     # A failing grid judges its rows cell by cell, and still builds no cell.
-    real = closedforms.closed_area_for
-
-    def broken(family, k, m):
-        twice, q = real(family, k, m)
-        return (twice + (k == 2)), q
+    def broken(k, m, twice):
+        return twice + (k == 2)
 
     argv = ["verify", "pell", "--n", "0..5", "--k", "1..3", "--m", "3..5"]
-    with mock.patch.object(verify, "closed_area_for", broken):
+    with mock.patch.object(verify, "closed_areas", closed_areas_with(broken)):
         want = cli.main(argv), capsys.readouterr().out
         with mock.patch.object(verify, "VerificationCell", _NoCell()):
             got = cli.main(argv), capsys.readouterr().out
