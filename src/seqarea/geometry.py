@@ -6,11 +6,11 @@ Vertex order is meaningful throughout: the surveyor's formula is
 orientation-sensitive and no function reorders its input.
 
 The area of one (k, m) pattern at start n is itself a linear recurrence in
-n, of order at most d(d-1)/2 for a family of order d, so
-:func:`twice_polygon_area` answers a large n from a few shoelaces near
-index 0: for d <= 3 it derives that recurrence from them and jumps along
-it, on numbers the size of the area rather than of the terms; any other
-polygon's area is the shoelace of its own vertex terms.
+n, of order d(d-1)/2 for a family of order d, whose coefficients follow
+from the family's own, so :func:`twice_polygon_area` answers a large n
+from d(d-1)/2 shoelaces near index 0: for d <= 3 it jumps along that
+recurrence, on numbers the size of the area rather than of the terms; any
+other polygon's area is the shoelace of its own vertex terms.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .sequences import (
     MAX_SEQUENCE_INDEX,
     RecurrenceSpec,
     SequenceFamily,
-    _berlekamp_massey,
     _x_power,
     check_domain,
     family_terms,
@@ -138,19 +137,22 @@ def twice_polygon_area(family: SequenceFamily, n: int, k: int, m: int) -> int:
     from the surveyor's sum over the family's own terms, by one of two
     routes.
 
-    For fixed (k, m) this is a sequence S(n) of order at most d(d-1)/2, for
-    d the family's order: each edge's cross product is a 2x2 minor, so by
-    Cauchy-Binet S(n) = g . L**n h with L the d(d-1)/2-square matrix of the
-    2x2 minors of the companion matrix.  At d = 1 that order is 0, so S is
-    0 and no term is fetched: every vertex (x, c**k * x) lies on one line
-    through the origin.  Where d <= 3 and the polygon at
-    start 0 lies in the small-index table, the shoelaces of the polygons at
-    starts 0 .. d(d-1)-1, from one window of terms from index 0, are S's
-    first d(d-1) values: a start below d(d-1) is read off them, and
-    otherwise :func:`_berlekamp_massey` derives S's minimal recurrence from
-    them and one jump x**n modulo it weights them.  Every number is the size
-    of the area, not of the terms.  Elsewhere the route is the shoelace of
-    the 2m vertex terms, fetched by one strided window.
+    For fixed (k, m) this is a sequence S(n) that the characteristic
+    polynomial of L annihilates, for L the d(d-1)/2-square matrix of the
+    2x2 minors of the companion matrix (d the family's order): each edge's
+    cross product is a 2x2 minor, so by Cauchy-Binet S(n) = g . L**n h.
+    The roots of that polynomial are the products of two roots of the
+    family's, so Vieta gives it from the family's coefficients: at d = 2,
+    S(n) = -c2*S(n-1); at d = 3, S(n) = -c2*S(n-1) - c1*c3*S(n-2) +
+    c3**2*S(n-3).  At d = 1 the order is 0, so S is 0 and no term is
+    fetched: every vertex (x, c**k * x) lies on one line through the
+    origin.  Where d <= 3 and the polygon at start 0 lies in the
+    small-index table, the shoelaces of the polygons at starts
+    0 .. d(d-1)/2 - 1, from one window of terms from index 0, are S's
+    first values: a start below d(d-1)/2 is read off them, and otherwise
+    one jump x**n modulo S's polynomial weights them.  Every number is the
+    size of the area, not of the terms.  Elsewhere the route is the
+    shoelace of the 2m vertex terms, fetched by one strided window.
 
     >>> pell = SequenceFamily.pell()
     >>> [twice_polygon_area(pell, n, 1, 3) for n in range(4)]
@@ -160,20 +162,22 @@ def twice_polygon_area(family: SequenceFamily, n: int, k: int, m: int) -> int:
     True
     """
     check_domain(n, k, m)
-    d = preset(family).order
-    if d == 1:
+    spec = preset(family)
+    if spec.order == 1:
         return 0
-    if d > 3 or reach(0, k, m) > MAX_SEQUENCE_INDEX:
+    if spec.order > 3 or reach(0, k, m) > MAX_SEQUENCE_INDEX:
         return twice_shoelace(*build_vertices(family, n, k, m))
-    count = d * (d - 1)  # twice the order bound of S
+    if spec.order == 2:
+        recurrence: tuple[int, ...] = (-spec.coefficients[1],)
+    else:
+        c1, c2, c3 = spec.coefficients
+        recurrence = (-c2, -c1 * c3, c3 * c3)
+    count = len(recurrence)
     seq = family_terms(family, 0, reach(count - 1, k, m) + 1)
     samples = [twice_shoelace(*vertex_columns(seq, i, k, m)) for i in range(count)]
     if n < count:
         return samples[n]
-    recurrence = _berlekamp_massey(samples)
-    if not recurrence:
-        return 0
-    area = RecurrenceSpec(recurrence, samples[: len(recurrence)])
+    area = RecurrenceSpec(recurrence, samples)
     return sum(map(operator.mul, _x_power(area, n), samples))
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import math
 import operator
 from collections import deque
 from collections.abc import Iterable, Sequence
@@ -432,46 +431,6 @@ def _x_power(spec: RecurrenceSpec, e: int) -> list[int]:
         if bit == "1":
             a = _fold(coefficients, [0, *a])
     return a
-
-
-def _berlekamp_massey(samples: Sequence[int]) -> tuple[int, ...]:
-    """The shortest recurrence (c1, .., cL) with
-    s(i) = c1*s(i-1) + .. + cL*s(i-L) for every L <= i < len(samples),
-    c_L = 0 allowed (a transient); () for an all-zero sequence.
-
-    Berlekamp-Massey (J. L. Massey, IEEE Trans. Inf. Theory 15 (1969)
-    122-127) on integers, fraction-free: each update scales the connection
-    polynomial 1 - c1*x - .. - cL*x^L by the last length change's
-    discrepancy, not dividing by it, and then divides out its content.  For
-    a sequence of order at most L0, 2*L0 samples give its unique minimal
-    recurrence, whose coefficients are integers by Fatou's lemma; the final
-    division by the constant coefficient is checked, and an inexact one (a
-    sample too short, or not from an integer recurrence) raises
-    ``ArithmeticError``.
-    """
-    current, before = [1], [1]  # connection polynomials, low power first
-    length, shift, last = 0, 1, 1  # last: the discrepancy at the last change
-    for i in range(len(samples)):
-        delta = sum(map(operator.mul, current, samples[i::-1]))
-        if not delta:
-            shift += 1
-            continue
-        updated = [last * c for c in current]
-        updated += [0] * (shift + len(before) - len(updated))
-        for j, b in enumerate(before, shift):
-            updated[j] -= delta * b
-        content = math.gcd(*updated)
-        updated = [c // content for c in updated]
-        if 2 * length <= i:
-            length, before, last, shift = i + 1 - length, current, delta, 1
-        else:
-            shift += 1
-        current = updated
-    lead = current[0]
-    current = (current + [0] * length)[1 : length + 1]
-    if any(c % lead for c in current):
-        raise ArithmeticError(f"no integer recurrence of order {length} fits the samples")
-    return tuple(-c // lead for c in current)
 
 
 def _strided(spec: RecurrenceSpec, start: int, count: int, step: int) -> list[int]:

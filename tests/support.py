@@ -74,13 +74,12 @@ def field_axiom_violations(rng: random.Random, d: int, cases: int) -> int:
 def area_route(order: int, n: int, k: int, m: int) -> str:
     """The route ``twice_polygon_area`` should take, by its one rule: none
     ("zero") for d = 1, whose area is 0; the area's own recurrence
-    ("sample" below d(d-1), where no recurrence is derived) for d <= 3
-    where the polygon at start 0 lies in the table; else the direct
-    shoelace."""
+    ("sample" below d(d-1)/2, where no jump is taken) for d <= 3 where the
+    polygon at start 0 lies in the table; else the direct shoelace."""
     if order == 1:
         return "zero"
     if order <= 3 and reach(0, k, m) <= MAX_SEQUENCE_INDEX:
-        return "sample" if n < order * (order - 1) else "recurrence"
+        return "sample" if n < order * (order - 1) // 2 else "recurrence"
     return "direct"
 
 
@@ -96,24 +95,34 @@ def cells_spanning(spans) -> list[tuple[int, int]]:
 
 def routed_area(family, n: int, k: int, m: int) -> tuple[int, str]:
     """``twice_polygon_area`` and the route it took, seen from what it
-    called: the direct route fetches the polygon at n and derives nothing,
-    the area's recurrence fetches no polygon (and derives nothing below
-    d(d-1)), and "zero" fetches no term at all."""
+    called: the direct route fetches the polygon at n and jumps nowhere,
+    the area's recurrence fetches one window of terms from index 0 that
+    holds the polygons at starts 0 .. d(d-1)/2 - 1 and no more (and jumps
+    to n once, unless n is below d(d-1)/2), and "zero" fetches no term at
+    all."""
     with mock.patch.object(
         geometry, "build_vertices", wraps=geometry.build_vertices
     ) as fetch, mock.patch.object(
         geometry, "family_terms", wraps=geometry.family_terms
     ) as window, mock.patch.object(
-        geometry, "_berlekamp_massey", wraps=sequences._berlekamp_massey
-    ) as derive:
+        geometry, "_x_power", wraps=sequences._x_power
+    ) as jump:
         twice = geometry.twice_polygon_area(family, n, k, m)
     if not (fetch.called or window.called):
         return twice, "zero"
     if fetch.called:
         assert [call.args[1] for call in fetch.call_args_list] == [n]
-        assert not derive.called
+        assert not jump.called
         return twice, "direct"
-    return twice, "recurrence" if derive.called else "sample"
+    d = sequences.preset(family).order
+    count = d * (d - 1) // 2
+    assert [call.args for call in window.call_args_list] == [
+        (family, 0, reach(count - 1, k, m) + 1)
+    ]
+    if not jump.called:
+        return twice, "sample"
+    assert [call.args[1] for call in jump.call_args_list] == [n]
+    return twice, "recurrence"
 
 
 @st.composite

@@ -161,7 +161,7 @@ class TestClosedAreaFor:
                 closed_area_for(family, 1, 2)
 
     # Every (k, m) with 395 < (2m-1)k <= 400: the samples' window passes
-    # the small-index table by up to 5 terms.
+    # the small-index table by up to 2 terms.
     EDGE = cells_spanning(range(396, 401))
 
     @settings(max_examples=200, deadline=None)
@@ -174,7 +174,7 @@ class TestClosedAreaFor:
     def test_polygonal_sign_matches_oracle(self, rank, n, route, data):
         # Both oracle routes: the area's own recurrence wherever the polygon
         # at start 0 lies in the small-index table ((2m-1)k <= 400; a start
-        # below 6 is a sample), its edge included, and past the table the
+        # below 3 is a sample), its edge included, and past the table the
         # vertex terms themselves.
         if route == "recurrence":
             k, m = data.draw(st.integers(1, 20)), data.draw(st.integers(3, 10))
@@ -184,7 +184,7 @@ class TestClosedAreaFor:
             k, m = data.draw(st.integers(81, 400)), data.draw(st.integers(3, 6))
         family = SequenceFamily.polygonal(rank)
         oracle, taken = routed_area(family, n, k, m)
-        assert taken == ("direct" if route == "direct" else "sample" if n < 6 else "recurrence")
+        assert taken == ("direct" if route == "direct" else "sample" if n < 3 else "recurrence")
         assert twice_signed_area(family, n, k, m) == oracle < 0
 
 

@@ -11,18 +11,20 @@ import sys
 import threading
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from seqarea import geometry
 from seqarea.geometry import build_vertices, shoelace_area, twice_shoelace
 from seqarea.sequences import (
     MAX_SEQUENCE_INDEX,
     RecurrenceSpec,
     SequenceFamily,
-    _berlekamp_massey,
     _extend,
+    _x_power,
     _small_table,
     binet_eval,
     binet_params,
@@ -234,57 +236,62 @@ class TestDifferential:
             assert binet_eval(params, n) == term(preset(family), n)
 
 
-class TestBerlekampMassey:
-    """The minimal recurrence of a sample, on known answers and against
-    forward iteration of the recurrence it returns."""
+class TestAreaRecurrence:
+    """Known answers for the area's own recurrence: the recurrence that
+    ``twice_polygon_area`` jumps along, read from the family's coefficients,
+    and the samples it starts from."""
 
     @staticmethod
-    def areas(family, k, m, count):
-        return [twice_shoelace(*build_vertices(family, n, k, m)) for n in range(count)]
+    def jump(family, n, k, m):
+        """Twice the area at (n, k, m) and the recurrence it jumped along."""
+        with mock.patch.object(geometry, "_x_power", wraps=_x_power) as jump:
+            twice = geometry.twice_polygon_area(family, n, k, m)
+        [call] = jump.call_args_list
+        return twice, call.args[0]
 
-    def test_fibonacci_area_alternates(self):
-        # |Q| = 1: twice the area is S, -S, S, ..
-        samples = self.areas(SequenceFamily.fibonacci(), 2, 3, 2)
-        assert samples == [15, -15]
-        assert _berlekamp_massey(samples) == (-1,)
+    @pytest.mark.parametrize(
+        "family, recurrence",
+        [
+            pytest.param(family, recurrence, id=family.label)
+            for family, recurrence in [
+                (SequenceFamily.fibonacci(), (-1,)),
+                (SequenceFamily.lucas(), (-1,)),
+                (SequenceFamily.pell(), (-1,)),
+                (SequenceFamily.jacobsthal(), (-2,)),
+                (SequenceFamily.tribonacci(), (-1, -1, 1)),
+                (SequenceFamily.perrin(), (-1, 0, 1)),
+                (SequenceFamily.padovan(), (-1, 0, 1)),
+                (SequenceFamily.polygonal(7), (3, -3, 1)),
+            ]
+        ],
+    )
+    def test_cli_family_recurrence(self, family, recurrence):
+        n, k, m = 3000, 2, 4
+        twice, area = self.jump(family, n, k, m)
+        samples = [twice_shoelace(*build_vertices(family, i, k, m)) for i in range(3)]
+        assert area.coefficients == recurrence
+        assert list(area.initial_terms) == samples[: len(recurrence)]
+        assert twice == twice_shoelace(*build_vertices(family, n, k, m))
+
+    def test_jacobsthal_area_is_zero(self):
+        twice, area = self.jump(SequenceFamily.jacobsthal(), 3000, 2, 4)
+        assert area.initial_terms == (0,) and twice == 0
 
     def test_polygonal_area_is_constant(self):
-        samples = self.areas(SequenceFamily.polygonal(7), 2, 4, 6)
-        assert len(set(samples)) == 1
-        assert _berlekamp_massey(samples) == (1,)
+        family = SequenceFamily.polygonal(7)
+        twice, area = self.jump(family, 3000, 2, 4)
+        assert len({*area.initial_terms, twice}) == 1
 
-    @pytest.mark.parametrize("count", [0, 1, 6])
-    def test_all_zero_has_the_empty_recurrence(self, count):
-        assert _berlekamp_massey([0] * count) == ()
-
-    def test_singular_companion_keeps_its_transient(self):
-        # x^3 - x^2 - x = x(x^2 - x - 1): the area's minimal polynomial is
-        # x(x + 1), so S(n) = -S(n-1) only from n = 2 on.
+    def test_singular_companion(self):
+        # x^3 - x^2 - x = x(x^2 - x - 1): S's recurrence (-1, 0, 0) has the
+        # root 0 twice, which allows a transient: S(n) = -S(n-1) holds only
+        # from n = 2 on.
         family = SequenceFamily.custom(RecurrenceSpec((1, 1, 0), (1, 2, 0)))
-        samples = self.areas(family, 1, 3, 6)
-        assert samples == [-2, -4, 4, -4, 4, -4]
-        assert _berlekamp_massey(samples) == (-1, 0)
-        # Written out: s(n) = 2s(n-1) from n = 3 on, after 1, 3, 2.
-        assert _berlekamp_massey([1, 3, 2, 4, 8, 16]) == (2, 0, 0)
-
-    def test_inexact_division_raises(self):
-        # 2, 1 fits only s(n) = s(n-1)/2: no integer recurrence of order 1.
-        with pytest.raises(ArithmeticError, match="integer recurrence"):
-            _berlekamp_massey([2, 1])
-
-    @settings(max_examples=150, deadline=None)
-    @given(spec=custom_specs(), more=st.integers(0, 10))
-    def test_derives_a_recurrence_that_continues_the_sequence(self, spec, more):
-        # 2d terms of an order-d sequence fix its minimal recurrence, which
-        # is at most d long and generates every later term.
-        values = forward(spec, 2 * spec.order + 30)
-        recurrence = _berlekamp_massey(values[: 2 * spec.order + more])
-        assert len(recurrence) <= spec.order
-        if recurrence:
-            derived = RecurrenceSpec(recurrence, tuple(values[: len(recurrence)]))
-            assert forward(derived, len(values)) == values
-        else:
-            assert not any(values)
+        areas = [geometry.twice_polygon_area(family, n, 1, 3) for n in range(6)]
+        assert areas == [-2, -4, 4, -4, 4, -4]
+        twice, area = self.jump(family, 3000, 1, 3)
+        assert area.coefficients == (-1, 0, 0)
+        assert twice == twice_shoelace(*build_vertices(family, 3000, 1, 3))
 
 
 class TestBounds:

@@ -15,7 +15,7 @@ from math import comb
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seqarea import closedforms, verify
@@ -151,7 +151,7 @@ def area_requests(draw):
     where d <= 3 and reach(0, k, m) <= MAX_SEQUENCE_INDEX, the direct
     shoelace elsewhere.  Near the edge the span (2m-1)k is within 5 of
     MAX_SEQUENCE_INDEX, where the samples' window passes the table by up to
-    d(d-1) - 1 terms, or just past it."""
+    d(d-1)/2 - 1 terms, or just past it."""
     family = draw(FAMILIES)
     d = preset(family).order
     side = draw(st.sampled_from(["edge", "past edge", "inside", "outside"]))
@@ -162,7 +162,7 @@ def area_requests(draw):
         m = draw(st.integers(3, 12))
         edge = MAX_SEQUENCE_INDEX // (2 * m - 1)
         k = draw(st.integers(1, edge) if side == "inside" else st.integers(edge + 1, edge + 50))
-    n = draw(st.one_of(st.integers(0, d * (d - 1) + 1), st.integers(0, 3000)))
+    n = draw(st.one_of(st.integers(0, d * (d - 1) // 2 + 1), st.integers(0, 3000)))
     return family, n, k, m
 
 
@@ -186,14 +186,21 @@ def repeated_roots(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(family=st.one_of(FAMILIES, repeated_roots()), data=st.data())
-def test_area_recurrence_matches_direct_shoelace(family, data):
-    # Starts on both sides of d(d-1), the samples the area's recurrence is
-    # derived from, with the polygon at start 0 inside the table.
-    d = preset(family).order
-    m = data.draw(st.integers(3, 12))
-    k = data.draw(st.integers(1, MAX_SEQUENCE_INDEX // (2 * m - 1)))
-    n = data.draw(st.one_of(st.integers(0, 2 * d * (d - 1) + 1), st.integers(0, 3000)))
+@given(
+    family=st.one_of(FAMILIES, repeated_roots()),
+    m=st.integers(3, 12),
+    k=st.integers(1, MAX_SEQUENCE_INDEX // 5),
+    n=st.one_of(st.integers(0, 7), st.integers(0, 3000)),
+)
+# c2 = 0 at order 2 makes S(n) = 0 from n = 1 on; c3 = 0 at order 3 leaves
+# S's recurrence (-c2, 0, 0), a singular companion on both sides.
+@example(family=SequenceFamily.custom(RecurrenceSpec((3, 0), (1, 2))), m=4, k=7, n=2000)
+@example(family=SequenceFamily.custom(RecurrenceSpec((1, 1, 0), (1, 2, 0))), m=3, k=1, n=3000)
+@example(family=SequenceFamily.custom(RecurrenceSpec((2, 0, 0), (1, -1, 3))), m=5, k=3, n=5)
+def test_area_recurrence_matches_direct_shoelace(family, m, k, n):
+    # Starts on both sides of d(d-1)/2, the samples the area's recurrence
+    # starts from, with the polygon at start 0 inside the table.
+    k = 1 + (k - 1) % (MAX_SEQUENCE_INDEX // (2 * m - 1))
     want = twice_shoelace(*build_vertices(family, n, k, m))
     assert twice_polygon_area(family, n, k, m) == want
 
