@@ -15,6 +15,7 @@ from __future__ import annotations
 import enum
 import functools
 import operator
+from _thread import allocate_lock
 from collections import deque
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
@@ -338,8 +339,8 @@ def _ends(values: Sequence[int]) -> tuple[int, int]:
 
 # Grid guardrail: the largest sequence index a verification grid may reach.
 # It keeps term sizes in the low hundreds of digits and grid runs in seconds,
-# and every index up to it is read from one bounded table per recurrence
-# (see ``_small_table``).
+# and every index up to it is read from one bounded table per recurrence, a
+# prefix grown only as far as the largest index read (see ``_prefix``).
 MAX_SEQUENCE_INDEX = 400
 
 # Index budget of `area`, `gen --count` and `table third-order`: the largest
@@ -454,26 +455,53 @@ def _strided(spec: RecurrenceSpec, start: int, count: int, step: int) -> list[in
 
 
 @functools.lru_cache(maxsize=64)
-def _small_table(spec: RecurrenceSpec) -> tuple[int, ...]:
-    """f(0) .. f(MAX_SEQUENCE_INDEX) of one recurrence.
+def _small_table(spec: RecurrenceSpec) -> list[tuple[int, ...]]:
+    """The holder of one recurrence's small-index table: a one-slot list
+    whose tuple is the prefix f(0) .. f(j) built so far, empty at first.
 
-    A tuple, so every caller can share it.  The cache needs no lock of ours:
-    at worst two threads build the same table and one copy is kept.
+    :func:`_prefix` reads and grows it.  At most 64 recurrences are held.
     """
-    return tuple(_extend(spec, list(spec.initial_terms), MAX_SEQUENCE_INDEX + 1))
+    return [()]
+
+
+# Taken only to store a grown prefix, never to read one.
+_storing = allocate_lock()
+
+
+def _prefix(spec: RecurrenceSpec, end: int) -> tuple[int, ...]:
+    """f(0) .. f(j) for some j >= ``end``, an ``end`` at most
+    MAX_SEQUENCE_INDEX: the stored prefix if it reaches f(end), or else
+    that prefix grown by forward iteration to f(end) and no further.
+
+    A grown prefix is a new tuple, stored whole if it is longer than the
+    one stored by then: a reader never sees a part-built prefix, and the
+    stored one never shrinks.  Two racing threads may build the same terms.
+    """
+    slot = _small_table(spec)
+    held = slot[0]
+    if len(held) > end:
+        return held
+    window = list(held if len(held) >= spec.order else spec.initial_terms[: end + 1])
+    grown = tuple(_extend(spec, window, end + 1))
+    with _storing:
+        if len(slot[0]) < len(grown):
+            slot[0] = grown
+    return grown
 
 
 def terms(spec: RecurrenceSpec, start: int, count: int, step: int = 1) -> list[int]:
     """Exact f(start), f(start+step), .. f(start+(count-1)*step) of a recurrence.
 
-    Windows inside the small-index table are sliced from it.  Otherwise the
-    engine jumps to ``start`` by powering x modulo the characteristic
-    polynomial and strides by x**step, fetching no term between two it
-    returns; with ``step`` 1 it takes only the first ``order`` terms, from
-    the table if it holds them or by striding, and iterates forward from
-    them.  Memory holds only what is returned and the bounded table, never
-    the prefix past it.  A negative start or count or a step below 1 is
-    refused; a value that is not an integer raises ``TypeError``.
+    A window that ends at index MAX_SEQUENCE_INDEX or below is sliced from
+    the recurrence's small-index table, whose prefix grows to the window's
+    last index and no further (:func:`_prefix`).  Otherwise the engine
+    jumps to ``start`` by powering x modulo the characteristic polynomial
+    and strides by x**step, fetching no term between two it returns; with
+    ``step`` 1 it takes only the first ``order`` terms, from the table if
+    they lie in it (which it then fills) or by striding, and iterates
+    forward from them.  Memory holds only what is returned and the bounded
+    table, never the prefix past it.  A negative start or count or a step
+    below 1 is refused; a value that is not an integer raises ``TypeError``.
     """
     if operator.index(start) < 0:
         raise ValueError(f"term index must be >= 0, got {start}")
@@ -481,12 +509,17 @@ def terms(spec: RecurrenceSpec, start: int, count: int, step: int = 1) -> list[i
         raise ValueError(f"term count must be >= 0, got {count}")
     if operator.index(step) < 1:
         raise ValueError(f"term step must be >= 1, got {step}")
-    if start + (count - 1) * step <= MAX_SEQUENCE_INDEX:
-        return list(_small_table(spec)[start : start + count * step : step])
+    last = start + (count - 1) * step
+    if last <= MAX_SEQUENCE_INDEX:
+        # Most reads find f(last) stored: only a growth calls _prefix.
+        table = _small_table(spec)[0]
+        if len(table) <= last:
+            table = _prefix(spec, last)
+        return list(table[start : start + count * step : step])
     if step > 1:
         return _strided(spec, start, count, step)
     if start + spec.order <= MAX_SEQUENCE_INDEX + 1:  # the table holds the head
-        return _extend(spec, list(_small_table(spec)[start:]), count)
+        return _extend(spec, list(_prefix(spec, MAX_SEQUENCE_INDEX)[start:]), count)
     return _extend(spec, _strided(spec, start, min(count, spec.order), 1), count)
 
 

@@ -151,10 +151,12 @@ def verify_family(
     :func:`collinear` on its own columns.
 
     The grid is judged by (n, k) rows of one cell per m.  The rows with one
-    (k, q**n) share one tuple of closed twice-areas; a row whose oracles
-    equal it, with no 0 in it, matches in one comparison and shares one
-    body of MATCH cells.  Any other row is judged cell by cell.  The
-    report's ``cells`` is a :class:`VerificationCells` view over the rows.
+    (k, q**n) share one tuple of closed twice-areas.  A row whose oracles
+    equal it, and whose flags prove each of its zero cells collinear,
+    matches in one step and shares one body of MATCH cells with every row
+    of its tuple: one body for a whole Jacobsthal grid.  Any other row is
+    judged cell by cell.  The report's ``cells`` is a
+    :class:`VerificationCells` view over the rows.
     """
     _closed_form(family)  # a family with no closed form is refused first
     ns = _as_range(n_range, "n")
@@ -173,10 +175,13 @@ def verify_family(
     check_domain(n_lo, k_lo, m_lo)
     # One S per (k, m) from one slice of U; the closed twice-areas S * q**n
     # of a (k, n) row, in m order, are one tuple per distinct (k, q**n): one
-    # per k where |q| = 1.
+    # per k where |q| = 1, and one for the whole grid where every S is 0
+    # (the Jacobsthal pair).
     forms, q = closed_areas(family, ks, ms)
     powers = {n: q**n for n in ns}
-    closed_rows: dict[tuple[int, int], list] = {}  # -> [closed, MATCH body index]
+    flat = not any(forms.values())
+    # (k, q**n), or None if flat -> [closed, positions of its zeros, MATCH body index]
+    closed_rows: dict[tuple[int, int] | None, list] = {}
     plane = twice_shoelace_plane(seq, ns, ks, ms)
     twices = zip(*[plane[m][0] for m in ms])
     lines = zip(*[plane[m][1] for m in ms])
@@ -186,16 +191,22 @@ def verify_family(
     passed = 0
     for (n, k), oracles, flags in zip(product(ns, ks), twices, lines):
         qn = powers[n]
-        shared = closed_rows.get((k, qn))
+        key = None if flat else (k, qn)
+        shared = closed_rows.get(key)
         if shared is None:
             closed = tuple([forms[k, m] * qn for m in ms])
-            shared = closed_rows[k, qn] = [closed, None]
-        closed = shared[0]
-        if oracles == closed and 0 not in closed:  # the whole row matches
-            if shared[1] is None:
-                shared[1] = len(bodies)
-                bodies.append(tuple(zip(ms, closed, closed, repeat(True), repeat(""))))
-            rows.append((n, k, shared[1]))
+            zeros = ()
+            if 0 in closed:
+                zeros = [i for i, twice in enumerate(closed) if not twice]
+            shared = closed_rows[key] = [closed, zeros, None]
+        closed, zeros, j = shared
+        # The whole row matches, its zero cells proved collinear by their flags.
+        if oracles == closed and (not zeros or all(map(flags.__getitem__, zeros))):
+            if j is None:
+                j = shared[2] = len(bodies)
+                notes = ["" if twice else "collinear" for twice in closed]
+                bodies.append(tuple(zip(ms, closed, closed, repeat(True), notes)))
+            rows.append((n, k, j))
             passed += len(ms)
             continue
         row_cells = []
@@ -208,7 +219,7 @@ def verify_family(
                 match = is_line and match
             row_cells.append((m, oracle, closed_twice, match, note))
             passed += match
-        # Rows judged alike (a Jacobsthal grid's, all collinear) share a body.
+        # Rows judged alike share a body.
         body = tuple(row_cells)
         j = judged.setdefault(body, len(bodies))
         if j == len(bodies):

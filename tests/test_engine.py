@@ -17,7 +17,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from seqarea import geometry
+from seqarea import geometry, sequences
+from seqarea.closedforms import closed_area_for
 from seqarea.geometry import build_vertices, shoelace_area, twice_shoelace
 from seqarea.sequences import (
     MAX_SEQUENCE_INDEX,
@@ -31,6 +32,7 @@ from seqarea.sequences import (
     family_terms,
     polygonal_number,
     preset,
+    reach,
     term,
     terms,
 )
@@ -362,3 +364,98 @@ class TestBounds:
             sys.setswitchinterval(previous)
         assert not any(t.is_alive() for t in threads)
         assert [results[i] for i in range(4)] == [expected] * 4
+
+
+def stored(spec: RecurrenceSpec) -> tuple[int, ...]:
+    """The prefix of ``spec``'s small-index table stored so far."""
+    return _small_table(spec)[0]
+
+
+class TestTableGrowth:
+    """A read of f(j), j <= MAX_SEQUENCE_INDEX, stores f(0) .. f(j) and no more."""
+
+    def test_grows_to_the_last_index_read(self):
+        spec = preset(SequenceFamily.pell())
+        _small_table.cache_clear()
+        assert terms(spec, 0, 10) == forward(spec, 10)
+        assert len(stored(spec)) == 10
+        assert terms(spec, 5, 3, 7) == forward(spec, 20)[5::7]
+        assert len(stored(spec)) == 20
+        # A shorter read is sliced from the prefix and leaves it as it was.
+        assert terms(spec, 2, 4) == forward(spec, 6)[2:]
+        assert terms(spec, 0, 0, 2) == []
+        assert stored(spec) == tuple(forward(spec, 20))
+
+    @pytest.mark.parametrize(
+        "family, start, count, length",
+        [
+            # The table holds pell's head f(399), f(400): it fills up to it.
+            (SequenceFamily.pell(), 399, 5, MAX_SEQUENCE_INDEX + 1),
+            # Tribonacci's head runs to f(401): it is strided, the table unread.
+            (SequenceFamily.tribonacci(), 399, 5, 0),
+            (SequenceFamily.tribonacci(), 0, 1000, MAX_SEQUENCE_INDEX + 1),
+        ],
+    )
+    def test_never_stores_past_the_guardrail(self, family, start, count, length):
+        spec = preset(family)
+        _small_table.cache_clear()
+        assert terms(spec, start, count) == forward(spec, start + count)[start:]
+        assert stored(spec) == tuple(forward(spec, length))
+
+    def test_area_oracle_builds_only_its_window(self):
+        pell = SequenceFamily.pell()
+        _small_table.cache_clear()
+        geometry.twice_polygon_area(pell, 30000, 5, 4)
+        assert len(stored(preset(pell))) == reach(0, 5, 4) + 1 == 36
+
+    def test_closed_form_reads_u_to_its_span(self):
+        # Pell-Lucas's U is the pell recurrence, read up to U((2m-2)k).
+        _small_table.cache_clear()
+        closed_area_for(SequenceFamily.pell_lucas(), 5, 4)
+        assert len(stored(preset(SequenceFamily.pell()))) == (2 * 4 - 2) * 5 + 1 == 31
+
+    def test_a_slower_growth_never_shrinks_the_prefix(self):
+        spec = preset(SequenceFamily.pell())
+        extend = sequences._extend
+
+        def overtaken(spec_, window, count):
+            # While this growth to f(9) runs, another stores f(0) .. f(29).
+            if count == 10:
+                terms(spec, 0, 30)
+            return extend(spec_, window, count)
+
+        _small_table.cache_clear()
+        with mock.patch.object(sequences, "_extend", overtaken):
+            assert terms(spec, 0, 10) == forward(spec, 10)
+        assert stored(spec) == tuple(forward(spec, 30))
+
+    def test_racing_growth_agrees(self):
+        spec = preset(SequenceFamily.tribonacci())
+        expected = forward(spec, MAX_SEQUENCE_INDEX + 1)
+        results: dict[int, list] = {}
+
+        def ends(slot: int) -> range:
+            # Rising window ends, offset per thread so stores interleave.
+            return range(slot, MAX_SEQUENCE_INDEX + 1, 5)
+
+        def work(slot: int) -> None:
+            # Each window reads f(end // 3) .. f(end).
+            results[slot] = [
+                terms(spec, end // 3, end - end // 3 + 1) for end in ends(slot)
+            ]
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            _small_table.cache_clear()
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(t.is_alive() for t in threads)
+        for i in range(4):
+            assert results[i] == [expected[end // 3 : end + 1] for end in ends(i)]
+        assert stored(spec) == tuple(expected)

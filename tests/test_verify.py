@@ -158,6 +158,8 @@ class TestVerifyCollinearity:
         assert report.fail_count == 0
         assert all(c.oracle_twice == 0 for c in report.cells)
         assert all(c.note == "collinear" for c in report.cells)
+        # Every row matches in one step, and the whole grid shares one body.
+        assert len(report.cells.bodies) == 1
 
     def test_wrong_family_rejected(self):
         with pytest.raises(UnsupportedFamilyError):
