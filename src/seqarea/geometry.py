@@ -7,10 +7,11 @@ orientation-sensitive and no function reorders its input.
 
 The area of one (k, m) pattern at start n is itself a linear recurrence in
 n, of order d(d-1)/2 for a family of order d, whose coefficients follow
-from the family's own, so :func:`twice_polygon_area` answers a large n
-from d(d-1)/2 shoelaces near index 0: for d <= 3 it jumps along that
-recurrence, on numbers the size of the area rather than of the terms; any
-other polygon's area is the shoelace of its own vertex terms.
+from the family's own, so :func:`twice_polygon_area` answers a start past
+the polygon's own span from d(d-1)/2 shoelaces at starts near 0: for
+d <= 3 it jumps along that recurrence, on numbers the size of the area
+rather than of the terms; any other polygon's area is the shoelace of its
+own vertex terms.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from fractions import Fraction
 from itertools import product
 
 from .sequences import (
-    MAX_SEQUENCE_INDEX,
     RecurrenceSpec,
     SequenceFamily,
     _x_power,
@@ -146,16 +146,17 @@ def twice_polygon_area(family: SequenceFamily, n: int, k: int, m: int) -> int:
     S(n) = -c2*S(n-1); at d = 3, S(n) = -c2*S(n-1) - c1*c3*S(n-2) +
     c3**2*S(n-3).  At d = 1 the order is 0, so S is 0 and no term is
     fetched: every vertex (x, c**k * x) lies on one line through the
-    origin.  Where d <= 3 and the polygon at start 0 lies in the
-    small-index table, the shoelaces of the polygons at starts
-    0 .. d(d-1)/2 - 1, from one window of terms from index 0, are S's
-    first values: a start below d(d-1)/2 is read off them, and otherwise
-    one jump x**n modulo S's polynomial weights them.  Every number is the
-    size of the area, not of the terms.  Elsewhere the route is the
-    shoelace of the 2m vertex terms, fetched by one strided window.
+    origin.  Where d <= 3 and n > (2m-1)k, the span of the polygon at
+    start 0, the shoelaces of the polygons at starts 0 .. d(d-1)/2 - 1,
+    each from its own :func:`build_vertices`, are S's first values, and one
+    jump x**n modulo S's polynomial weights them: every number past the
+    samples is the size of the area, not of the terms.  Elsewhere (d > 3,
+    or a start no further out than the span, where the samples' terms are
+    about as large as the polygon's own) the route is the shoelace of the
+    2m vertex terms at n.
 
     >>> pell = SequenceFamily.pell()
-    >>> [twice_polygon_area(pell, n, 1, 3) for n in range(4)]
+    >>> [twice_polygon_area(pell, n, 1, 3) for n in range(4, 8)]
     [8, -8, 8, -8]
     >>> direct = twice_shoelace(*build_vertices(pell, 30001, 7, 5))
     >>> twice_polygon_area(pell, 30001, 7, 5) == direct
@@ -165,18 +166,16 @@ def twice_polygon_area(family: SequenceFamily, n: int, k: int, m: int) -> int:
     spec = preset(family)
     if spec.order == 1:
         return 0
-    if spec.order > 3 or reach(0, k, m) > MAX_SEQUENCE_INDEX:
+    if spec.order > 3 or n <= reach(0, k, m):
         return twice_shoelace(*build_vertices(family, n, k, m))
     if spec.order == 2:
         recurrence: tuple[int, ...] = (-spec.coefficients[1],)
     else:
         c1, c2, c3 = spec.coefficients
         recurrence = (-c2, -c1 * c3, c3 * c3)
-    count = len(recurrence)
-    seq = family_terms(family, 0, reach(count - 1, k, m) + 1)
-    samples = [twice_shoelace(*vertex_columns(seq, i, k, m)) for i in range(count)]
-    if n < count:
-        return samples[n]
+    samples = [
+        twice_shoelace(*build_vertices(family, i, k, m)) for i in range(len(recurrence))
+    ]
     area = RecurrenceSpec(recurrence, samples)
     return sum(map(operator.mul, _x_power(area, n), samples))
 

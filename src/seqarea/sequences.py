@@ -339,8 +339,10 @@ def _ends(values: Sequence[int]) -> tuple[int, int]:
 
 # Grid guardrail: the largest sequence index a verification grid may reach.
 # It keeps term sizes in the low hundreds of digits and grid runs in seconds,
-# and every index up to it is read from one bounded table per recurrence, a
-# prefix grown only as far as the largest index read (see ``_prefix``).
+# and every window that ends at or below it is sliced from one bounded table
+# per recurrence, a prefix grown only as far as the largest index read (see
+# ``_prefix``).  Only the engine reads it to choose a route: a window that
+# ends past it is strided, whatever its start.
 MAX_SEQUENCE_INDEX = 400
 
 # Index budget of `area`, `gen --count` and `table third-order`: the largest
@@ -497,8 +499,7 @@ def terms(spec: RecurrenceSpec, start: int, count: int, step: int = 1) -> list[i
     last index and no further (:func:`_prefix`).  Otherwise the engine
     jumps to ``start`` by powering x modulo the characteristic polynomial
     and strides by x**step, fetching no term between two it returns; with
-    ``step`` 1 it takes only the first ``order`` terms, from the table if
-    they lie in it (which it then fills) or by striding, and iterates
+    ``step`` 1 it strides only to the first ``order`` terms and iterates
     forward from them.  Memory holds only what is returned and the bounded
     table, never the prefix past it.  A negative start or count or a step
     below 1 is refused; a value that is not an integer raises ``TypeError``.
@@ -518,8 +519,6 @@ def terms(spec: RecurrenceSpec, start: int, count: int, step: int = 1) -> list[i
         return list(table[start : start + count * step : step])
     if step > 1:
         return _strided(spec, start, count, step)
-    if start + spec.order <= MAX_SEQUENCE_INDEX + 1:  # the table holds the head
-        return _extend(spec, list(_prefix(spec, MAX_SEQUENCE_INDEX)[start:]), count)
     return _extend(spec, _strided(spec, start, min(count, spec.order), 1), count)
 
 

@@ -18,7 +18,7 @@ from itertools import groupby, product, repeat
 from .closedforms import _closed_form, _polygonal_coefficient, closed_areas
 from .geometry import (
     collinear,
-    twice_shoelace,
+    twice_polygon_area,
     twice_shoelace_plane,
     vertex_columns,
 )
@@ -387,15 +387,17 @@ def third_order_table(
     k_max: int,
     padovan_initial: tuple[int, int, int] | None = None,
 ) -> ThirdOrderTable:
-    """Oracle triangle areas for tribonacci / perrin / padovan vertices.
+    """Oracle triangle areas for tribonacci / perrin / padovan vertices:
+    each cell is ``twice_polygon_area(family, n, k, 3)``, the one oracle
+    ``area`` uses, so the table fetches no term itself.
 
     Published values attach only where they exist (n = 1, k <= 6).  Padovan
     rows always carry UNVERIFIED-CONVENTION because the published column's
     initial terms are unknown; the caller picks the convention to compute.
     The term-index budget is checked first, then n >= 0 and 1 <= k_max <= cap.
     """
-    last = reach(n, k_max, 3)  # the triangle at k = k_max reaches furthest
-    check_term_budget(last)
+    # The triangle at k = k_max reaches furthest.
+    check_term_budget(reach(n, k_max, 3))
     check_domain(n)
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
@@ -407,17 +409,10 @@ def third_order_table(
         "perrin": SequenceFamily.perrin(),
         "padovan": padovan,
     }
-    # One slice per family, f(n) .. f(last): every triangle's window.
-    slices = {
-        column: family_terms(family, n, last - n + 1)
-        for column, family in families.items()
-    }
     cells = []
     for k in range(1, k_max + 1):
         for column in THIRD_ORDER_COLUMNS:
-            # The triangle's vertex terms, read from the column's slice as a
-            # verify cell reads its grid's slice.
-            twice = twice_shoelace(*vertex_columns(slices[column], 0, k, 3))
+            twice = twice_polygon_area(families[column], n, k, 3)
             published = PUBLISHED_THIRD_ORDER[column].get(k) if n == 1 else None
             if column == "padovan":
                 status = STATUS_UNVERIFIED

@@ -1,15 +1,16 @@
 """A committed byte-identity corpus of CLI requests.
 
 ``cli_corpus.json`` holds about 600 seeded argvs over every subcommand, CLI
-family, format and ``--method``, some with ``--out`` and every ``REFUSALS``
-argv of ``test_cli.py``, each with one SHA-256 of what ``cli.main`` gives
-for it: exit code, stdout, stderr and the ``--out`` file.
+family, format and ``--method``, some with ``--out``, every ``REFUSALS``
+argv of ``test_cli.py`` and the fixed route pins of ``_route_pins``, each
+with one SHA-256 of what ``cli.main`` gives for it: exit code, stdout,
+stderr and the ``--out`` file.
 ``test_corpus.py`` replays it in-process.
 
 Every argv parses: usage errors and help are left to ``test_parser.py``
 and ``test_cli.py``, which read them line by line.  Indices
-stay small (``area`` reaches index 5,380 at most), so the replay takes
-about a second.
+stay small (the seeded ``area`` argvs reach index 5,380 at most, the route
+pins 10,801), so the replay takes about a second.
 
 Run from the repository root:
 
@@ -118,12 +119,36 @@ def _requests(rng: random.Random) -> list[list[str]]:
     return reqs
 
 
+def _route_pins() -> list[list[str]]:
+    """Fixed argvs on both sides of the route rule of ``area``'s oracle,
+    n = (2m-1)k and one past it, with spans well past the small-index table,
+    and a ``table third-order`` whose cells fall on both sides of n = 5k.
+    The three families with no closed form take ``--method oracle``, since
+    their ``both`` is a refusal."""
+    families = [["pell"], ["tribonacci"], ["perrin"], ["padovan"],
+                ["polygonal", "--rank", "7"]]
+    pins = []
+    for family in families:
+        method = "both" if family[0] in ("pell", "polygonal") else "oracle"
+        for k, m in ((100, 3), (250, 4), (600, 5), (1, 300)):
+            for n in ((2 * m - 1) * k, (2 * m - 1) * k + 1):
+                for fmt in FORMATS:
+                    pins.append(["area", *family, "--n", str(n), "--k", str(k),
+                                 "--m", str(m), "--method", method, "--format", fmt])
+    for fmt in FORMATS:
+        pins.append(["table", "third-order", "--n", "3000", "--k-max", "700",
+                     "--format", fmt])
+    return pins
+
+
 def generate() -> list[list[str]]:
-    """The seeded argvs, then every refusal of ``test_cli.REFUSALS``."""
+    """The seeded argvs, then every refusal of ``test_cli.REFUSALS``, then
+    the route pins."""
     sys.path.insert(0, str(Path(__file__).parent))
     from test_cli import REFUSALS
 
     argvs = _requests(random.Random(SEED)) + [list(argv) for argv, _ in REFUSALS]
+    argvs += _route_pins()
     return list({json.dumps(argv): argv for argv in argvs}.values())  # once each
 
 

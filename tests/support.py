@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from seqarea import closedforms, geometry, sequences
 from seqarea.numerics import QuadElem
-from seqarea.sequences import MAX_SEQUENCE_INDEX, reach
+from seqarea.sequences import reach
 
 DEFAULT_SEED = 20240901
 
@@ -73,56 +73,38 @@ def field_axiom_violations(rng: random.Random, d: int, cases: int) -> int:
 
 def area_route(order: int, n: int, k: int, m: int) -> str:
     """The route ``twice_polygon_area`` should take, by its one rule: none
-    ("zero") for d = 1, whose area is 0; the area's own recurrence
-    ("sample" below d(d-1)/2, where no jump is taken) for d <= 3 where the
-    polygon at start 0 lies in the table; else the direct shoelace."""
+    ("zero") for d = 1, whose area is 0; the jump along the area's own
+    recurrence for d <= 3 where n passes (2m-1)k, the span of the polygon
+    at start 0; else the direct shoelace."""
     if order == 1:
         return "zero"
-    if order <= 3 and reach(0, k, m) <= MAX_SEQUENCE_INDEX:
-        return "sample" if n < order * (order - 1) // 2 else "recurrence"
+    if order <= 3 and n > reach(0, k, m):
+        return "jump"
     return "direct"
-
-
-def cells_spanning(spans) -> list[tuple[int, int]]:
-    """Every (k, m) with m >= 3 whose polygon spans (2m-1)k in ``spans``."""
-    return [
-        (span // (2 * m - 1), m)
-        for span in spans
-        for m in range(3, span // 2 + 2)
-        if span % (2 * m - 1) == 0
-    ]
 
 
 def routed_area(family, n: int, k: int, m: int) -> tuple[int, str]:
     """``twice_polygon_area`` and the route it took, seen from what it
-    called: the direct route fetches the polygon at n and jumps nowhere,
-    the area's recurrence fetches one window of terms from index 0 that
-    holds the polygons at starts 0 .. d(d-1)/2 - 1 and no more (and jumps
-    to n once, unless n is below d(d-1)/2), and "zero" fetches no term at
-    all."""
+    called: the direct route builds the polygon at n and jumps nowhere, the
+    jump builds the polygons at starts 0 .. d(d-1)/2 - 1 and jumps to n
+    once, and "zero" builds no polygon at all."""
     with mock.patch.object(
         geometry, "build_vertices", wraps=geometry.build_vertices
     ) as fetch, mock.patch.object(
-        geometry, "family_terms", wraps=geometry.family_terms
-    ) as window, mock.patch.object(
         geometry, "_x_power", wraps=sequences._x_power
     ) as jump:
         twice = geometry.twice_polygon_area(family, n, k, m)
-    if not (fetch.called or window.called):
+    builds = [call.args for call in fetch.call_args_list]
+    powers = [call.args[1] for call in jump.call_args_list]
+    if not builds:
+        assert not powers
         return twice, "zero"
-    if fetch.called:
-        assert [call.args[1] for call in fetch.call_args_list] == [n]
-        assert not jump.called
+    if builds == [(family, n, k, m)] and not powers:
         return twice, "direct"
     d = sequences.preset(family).order
-    count = d * (d - 1) // 2
-    assert [call.args for call in window.call_args_list] == [
-        (family, 0, reach(count - 1, k, m) + 1)
-    ]
-    if not jump.called:
-        return twice, "sample"
-    assert [call.args[1] for call in jump.call_args_list] == [n]
-    return twice, "recurrence"
+    assert builds == [(family, i, k, m) for i in range(d * (d - 1) // 2)]
+    assert powers == [n]
+    return twice, "jump"
 
 
 @st.composite

@@ -28,10 +28,11 @@ from seqarea.sequences import (
     binet_eval,
     binet_params,
     preset,
+    reach,
     term,
 )
 from seqarea.verify import verify_family
-from support import cells_spanning, grid_values, routed_area
+from support import grid_values, routed_area
 
 FAMILIES = [
     SequenceFamily.fibonacci(),
@@ -160,31 +161,23 @@ class TestClosedAreaFor:
             with pytest.raises(ValueError, match="vertex count m"):
                 closed_area_for(family, 1, 2)
 
-    # Every (k, m) with 395 < (2m-1)k <= 400: the samples' window passes
-    # the small-index table by up to 2 terms.
-    EDGE = cells_spanning(range(396, 401))
-
     @settings(max_examples=200, deadline=None)
     @given(
         rank=st.integers(3, 12),
-        n=st.integers(0, 5000),
-        route=st.sampled_from(["recurrence", "edge", "direct"]),
+        k=st.one_of(st.integers(1, 20), st.integers(81, 400)),
+        m=st.integers(3, 10),
         data=st.data(),
     )
-    def test_polygonal_sign_matches_oracle(self, rank, n, route, data):
-        # Both oracle routes: the area's own recurrence wherever the polygon
-        # at start 0 lies in the small-index table ((2m-1)k <= 400; a start
-        # below 3 is a sample), its edge included, and past the table the
-        # vertex terms themselves.
-        if route == "recurrence":
-            k, m = data.draw(st.integers(1, 20)), data.draw(st.integers(3, 10))
-        elif route == "edge":
-            k, m = data.draw(st.sampled_from(self.EDGE))
-        else:
-            k, m = data.draw(st.integers(81, 400)), data.draw(st.integers(3, 6))
+    def test_polygonal_sign_matches_oracle(self, rank, k, m, data):
+        # Both oracle routes: the jump along the area's own recurrence
+        # wherever n passes (2m-1)k, the span of the polygon at start 0, and
+        # the vertex terms themselves elsewhere, with n on the span, one past
+        # it or anywhere up to 5,000, and spans on both sides of the table.
+        span = reach(0, k, m)
+        n = data.draw(st.one_of(st.sampled_from([span, span + 1]), st.integers(0, 5000)))
         family = SequenceFamily.polygonal(rank)
         oracle, taken = routed_area(family, n, k, m)
-        assert taken == ("direct" if route == "direct" else "sample" if n < 3 else "recurrence")
+        assert taken == ("jump" if n > span else "direct")
         assert twice_signed_area(family, n, k, m) == oracle < 0
 
 

@@ -389,11 +389,12 @@ class TestTableGrowth:
     @pytest.mark.parametrize(
         "family, start, count, length",
         [
-            # The table holds pell's head f(399), f(400): it fills up to it.
-            (SequenceFamily.pell(), 399, 5, MAX_SEQUENCE_INDEX + 1),
-            # Tribonacci's head runs to f(401): it is strided, the table unread.
+            # A window that ends past the table is strided to its first
+            # terms and iterated forward, the table unread, wherever it
+            # starts: inside the table too.
+            (SequenceFamily.pell(), 399, 5, 0),
             (SequenceFamily.tribonacci(), 399, 5, 0),
-            (SequenceFamily.tribonacci(), 0, 1000, MAX_SEQUENCE_INDEX + 1),
+            (SequenceFamily.tribonacci(), 0, 1000, 0),
         ],
     )
     def test_never_stores_past_the_guardrail(self, family, start, count, length):

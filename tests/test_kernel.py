@@ -38,7 +38,7 @@ from seqarea.sequences import (
     reach,
 )
 from seqarea.verify import verify_family
-from support import GRIDS, area_route, cells_spanning, routed_area
+from support import GRIDS, area_route, routed_area
 
 NAMED = [
     SequenceFamily.fibonacci(),
@@ -147,22 +147,15 @@ def test_kernel_on_wide_columns(m, bits, seed):
 @st.composite
 def area_requests(draw):
     """(family, n, k, m) on either side of the one route rule of
-    ``twice_polygon_area``, or exactly on it: the area's own recurrence
-    where d <= 3 and reach(0, k, m) <= MAX_SEQUENCE_INDEX, the direct
-    shoelace elsewhere.  Near the edge the span (2m-1)k is within 5 of
-    MAX_SEQUENCE_INDEX, where the samples' window passes the table by up to
-    d(d-1)/2 - 1 terms, or just past it."""
+    ``twice_polygon_area``, or exactly on it: the jump along the area's own
+    recurrence where d <= 3 and n > reach(0, k, m), the direct shoelace
+    elsewhere.  n falls on the span (2m-1)k, one past it, or anywhere up to
+    3,000; spans run up to about 1,500, well past the small-index table."""
     family = draw(FAMILIES)
-    d = preset(family).order
-    side = draw(st.sampled_from(["edge", "past edge", "inside", "outside"]))
-    if side in ("edge", "past edge"):
-        top = MAX_SEQUENCE_INDEX + 5 * (side == "past edge")
-        k, m = draw(st.sampled_from(cells_spanning(range(top - 4, top + 1))))
-    else:
-        m = draw(st.integers(3, 12))
-        edge = MAX_SEQUENCE_INDEX // (2 * m - 1)
-        k = draw(st.integers(1, edge) if side == "inside" else st.integers(edge + 1, edge + 50))
-    n = draw(st.one_of(st.integers(0, d * (d - 1) // 2 + 1), st.integers(0, 3000)))
+    m = draw(st.one_of(st.integers(3, 12), st.integers(13, 750)))
+    k = draw(st.integers(1, max(1, 1500 // (2 * m - 1))))
+    span = reach(0, k, m)
+    n = draw(st.one_of(st.sampled_from([span, span + 1]), st.integers(0, 3000)))
     return family, n, k, m
 
 
@@ -189,18 +182,18 @@ def repeated_roots(draw):
 @given(
     family=st.one_of(FAMILIES, repeated_roots()),
     m=st.integers(3, 12),
-    k=st.integers(1, MAX_SEQUENCE_INDEX // 5),
-    n=st.one_of(st.integers(0, 7), st.integers(0, 3000)),
+    k=st.integers(1, 120),
+    offset=st.one_of(st.integers(-3, 3), st.integers(-3000, 3000)),
 )
 # c2 = 0 at order 2 makes S(n) = 0 from n = 1 on; c3 = 0 at order 3 leaves
 # S's recurrence (-c2, 0, 0), a singular companion on both sides.
-@example(family=SequenceFamily.custom(RecurrenceSpec((3, 0), (1, 2))), m=4, k=7, n=2000)
-@example(family=SequenceFamily.custom(RecurrenceSpec((1, 1, 0), (1, 2, 0))), m=3, k=1, n=3000)
-@example(family=SequenceFamily.custom(RecurrenceSpec((2, 0, 0), (1, -1, 3))), m=5, k=3, n=5)
-def test_area_recurrence_matches_direct_shoelace(family, m, k, n):
-    # Starts on both sides of d(d-1)/2, the samples the area's recurrence
-    # starts from, with the polygon at start 0 inside the table.
-    k = 1 + (k - 1) % (MAX_SEQUENCE_INDEX // (2 * m - 1))
+@example(family=SequenceFamily.custom(RecurrenceSpec((3, 0), (1, 2))), m=4, k=7, offset=1951)
+@example(family=SequenceFamily.custom(RecurrenceSpec((1, 1, 0), (1, 2, 0))), m=3, k=1, offset=2995)
+@example(family=SequenceFamily.custom(RecurrenceSpec((2, 0, 0), (1, -1, 3))), m=5, k=3, offset=1)
+def test_area_recurrence_matches_direct_shoelace(family, m, k, offset):
+    # Starts on both sides of the span (2m-1)k, where the route changes,
+    # with spans on both sides of the small-index table.
+    n = max(0, reach(0, k, m) + offset)
     want = twice_shoelace(*build_vertices(family, n, k, m))
     assert twice_polygon_area(family, n, k, m) == want
 
@@ -208,17 +201,22 @@ def test_area_recurrence_matches_direct_shoelace(family, m, k, n):
 @pytest.mark.parametrize(
     "n, k, m, route",
     [
-        (99_000, 20, 10, "recurrence"),
-        (99_000, 1, 199, "recurrence"),
-        (99_000, 1, 200, "recurrence"),
+        (99_000, 20, 10, "jump"),
+        (99_000, 1, 199, "jump"),
+        (99_000, 1, 200, "jump"),
         (0, 20_000, 3, "direct"),
+        (60_000, 8_000, 3, "jump"),
+        (40_000, 8_000, 3, "direct"),
     ],
-    ids=["jump-route", "jump-route-span-397", "jump-route-span-399", "direct-route"],
+    ids=[
+        "jump-route", "jump-route-span-397", "jump-route-span-399", "direct-route",
+        "jump-route-past-table", "direct-route-on-rule",
+    ],
 )
 def test_polygonal_area_kernel_matches_figurate_form(n, k, m, route):
     # Polygonal numbers are the order-3 recurrence (3, -3, 1): near the
     # term-index budget they take the same two routes as any other family,
-    # the area's recurrence up to the span (2m-1)k = 400.
+    # the jump wherever n passes the span (2m-1)k.
     family = SequenceFamily.polygonal(7)
     twice, taken = routed_area(family, n, k, m)
     assert abs(twice) == 2 * closedforms.polygonal_mgon_area(7, k, m)

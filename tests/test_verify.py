@@ -1,11 +1,14 @@
 import pickle
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
+from seqarea import sequences
 from seqarea.closedforms import closed_triangle_area, polygonal_mgon_area
-from seqarea.sequences import SequenceFamily, UnsupportedFamilyError, _small_table
+from seqarea.geometry import build_vertices, twice_shoelace
+from seqarea.sequences import SequenceFamily, UnsupportedFamilyError, _small_table, terms
 from seqarea.verify import (
     MAX_SEQUENCE_INDEX,
     PUBLISHED_POLYGONAL_COEFFS,
@@ -262,6 +265,30 @@ class TestThirdOrderTable:
         )
         longer = third_order_table(1, 7)
         assert {(c.column, c.k): c for c in longer.cells}["tribonacci", 7].published is None
+
+    def test_cells_are_the_area_oracle_on_few_terms(self):
+        # At n = 3000 the triangles with k < 600 pass their span 5k and
+        # jump, the rest are direct; each fetch is one triangle's six terms.
+        fetched = []
+
+        def counted(*args):
+            fetched.append(len(out := terms(*args)))
+            return out
+
+        with mock.patch.object(sequences, "terms", counted):
+            table = third_order_table(3000, 700)
+        assert fetched and max(fetched) <= 6
+        families = {
+            "tribonacci": SequenceFamily.tribonacci(),
+            "perrin": SequenceFamily.perrin(),
+            "padovan": SequenceFamily.padovan(),
+        }
+        assert [(c.column, c.k) for c in table.cells] == [
+            (column, k) for k in range(1, 701) for column in families
+        ]
+        for cell in table.cells:
+            poly = build_vertices(families[cell.column], 3000, cell.k, 3)
+            assert cell.twice == twice_shoelace(*poly)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
