@@ -5,6 +5,12 @@ come out as Fractions with denominator 1 or 2; nothing is ever rounded.
 Vertex order is meaningful throughout: the surveyor's formula is
 orientation-sensitive and no function reorders its input.
 
+One polygon's twice-area is :func:`twice_shoelace`, in difference form
+(m big products).  A verify grid takes every cell at once with
+:func:`twice_shoelace_plane`, on the fan of vertex 0: with P_0 moved to
+the origin, the closing edges vanish and every m's twice-area is one
+prefix sum of the fan crosses, two big products per vertex.
+
 The area of one (k, m) pattern at start n is itself a linear recurrence in
 n, of order d(d-1)/2 for a family of order d, whose coefficients follow
 from the family's own, so :func:`twice_polygon_area` answers a start past
@@ -84,13 +90,15 @@ def twice_shoelace_plane(
     False flag proves nothing; :func:`collinear` decides such a cell.
 
     Each step reads one column, the next vertex coordinate of every cell,
-    and works on whole columns.  The difference-form terms
-    x_j*(y_(j+1) - y_(j-1)) for 1 <= j <= m-2 do not depend on m, so one
-    running sum of them serves every m, which adds its two wrap-around terms
-    x_0*(y_1 - y_(m-1)) + x_(m-1)*(y_0 - y_(m-2)).  The flags are a running
-    AND of (P_j - P_0) x (P_1 - P_0) == 0, taken while any cell holds it.
-    Every m must be at least 3, and ``seq`` must reach every cell's index
-    n + (2m-1)k.
+    and works on whole columns of P'_j = P_j - P_0, the polygon translated
+    so that P'_0 is the origin.  The shoelace does not change, and both
+    closing edges P'_(m-1) x P'_0 and P'_0 x P'_1 vanish, so twice the
+    m-gon's area is the fan sum of F_j = x'_j*y'_(j+1) - x'_(j+1)*y'_j for
+    j = 1 .. m-2: one running sum serves every m, which stores it as it
+    stands, with no products of its own.  The flag at vertex 2 is
+    F_1 == 0; at each later vertex j it ANDs x'_j*y'_1 == y'_j*x'_1, taken
+    while any cell holds it.  Every m must be at least 3, and ``seq`` must
+    reach every cell's index n + (2m-1)k.
 
     >>> seq = family_terms(SequenceFamily.jacobsthal(), 0, 16)
     >>> twice_shoelace_plane(seq, [1], [1, 2], [3, 4])
@@ -103,32 +111,28 @@ def twice_shoelace_plane(
         # f(n + t*k) of every cell: x_i is column 2i, y_i column 2i+1.
         return [seq[n + t * k] for n, k in cells]
 
-    x0, y0, x1, y1 = map(column, range(4))
-    dx1, dy1 = list(map(sub, x1, x0)), list(map(sub, y1, y0))
-    lines = [dx != 0 or dy != 0 for dx, dy in zip(dx1, dy1)]
-    total: list[int] = [0] * len(cells)  # the interior terms j = 1 .. i-1
-    # x_(i-1), y_(i-1) and y_(i-2) at vertex i.
-    x_back, y_back, y_back2 = x1, y1, y0
+    x0, y0 = column(0), column(1)
+
+    def vertex(i: int) -> tuple[list[int], list[int]]:
+        return list(map(sub, column(2 * i), x0)), list(map(sub, column(2 * i + 1), y0))
+
+    (dx1, dy1), (x, y) = vertex(1), vertex(2)
+    total = list(map(sub, map(mul, dx1, y), map(mul, x, dy1)))  # F_1
+    lines = [not f and (dx != 0 or dy != 0) for f, dx, dy in zip(total, dx1, dy1)]
     wanted = set(ms)
     plane: dict[int, tuple[list[int], list[bool]]] = {}
-    for i in range(2, max(wanted)):
-        x, y = column(2 * i), column(2 * i + 1)
-        total = list(map(add, total, map(mul, x_back, map(sub, y, y_back2))))
+    if 3 in wanted:
+        plane[3] = (total, lines)
+    for i in range(3, max(wanted)):
+        x_back, y_back = x, y
+        x, y = vertex(i)
+        fan = map(sub, map(mul, x_back, y), map(mul, x, y_back))
+        total = list(map(add, total, fan))
         if any(lines):
-            crosses = map(
-                operator.eq,
-                map(mul, map(sub, x, x0), dy1),
-                map(mul, map(sub, y, y0), dx1),
-            )
+            crosses = map(operator.eq, map(mul, x, dy1), map(mul, y, dx1))
             lines = list(map(operator.and_, lines, crosses))
         if i + 1 in wanted:
-            wrap = map(
-                add,
-                map(mul, x0, map(sub, y1, y)),
-                map(mul, x, map(sub, y0, y_back)),
-            )
-            plane[i + 1] = (list(map(add, total, wrap)), lines)
-        x_back, y_back, y_back2 = x, y, y_back
+            plane[i + 1] = (total, lines)
     return plane
 
 

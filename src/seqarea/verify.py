@@ -146,8 +146,9 @@ def verify_family(
     index) shared by the whole grid.
 
     The oracle is the shoelace sum of the cell's vertex terms.
-    :func:`twice_shoelace_plane` computes it for every cell at once, with a
-    collinearity flag; a zero-area cell the flag does not prove goes to
+    :func:`twice_shoelace_plane` computes it for every cell at once, as the
+    prefix sums of the fan crosses about vertex 0, with a collinearity
+    flag; a zero-area cell the flag does not prove goes to
     :func:`collinear` on its own columns.
 
     The grid is judged by (n, k) rows of one cell per m.  The rows with one

@@ -8,6 +8,7 @@ over (x, y) pairs, independent of the kernel's difference form.
 
 from __future__ import annotations
 
+import operator
 import random
 from contextlib import nullcontext
 from itertools import product
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from seqarea import closedforms, verify
+from seqarea import closedforms, geometry, verify
 from seqarea.geometry import (
     build_vertices,
     collinear,
@@ -283,6 +284,32 @@ def grid_slice(family, ns, ks, ms):
 
 @settings(max_examples=300, deadline=None)
 @given(family=FAMILIES, **GRIDS)
+# Period 4 at k = 1: P_2 = P_0, so the fan's first cross is 0 and every
+# vertex lies on the line through P_0 and P_1.
+@example(
+    family=SequenceFamily.custom(RecurrenceSpec((0, 0, 0, 1), (1, 2, 3, 5))),
+    ns=range(0, 6), ks=[1], ms=range(3, 9),
+)
+@example(  # P_1 = P_0 everywhere: no flag
+    family=SequenceFamily.custom(RecurrenceSpec((1, 1), (0, 0))),
+    ns=range(0, 4), ks=range(1, 4), ms=[3, 5],
+)
+@example(  # clockwise: every area negative
+    family=SequenceFamily.polygonal(7), ns=range(0, 8), ks=range(1, 5), ms=range(3, 8),
+)
+@example(  # every flag True
+    family=SequenceFamily.jacobsthal(), ns=range(0, 8), ks=range(1, 5), ms=range(3, 8),
+)
+@example(  # a descending k range
+    family=SequenceFamily.fibonacci(), ns=[0, 5], ks=range(6, 0, -1), ms=[3, 4],
+)
+@example(  # k unsorted and duplicated; one large m alone
+    family=SequenceFamily.pell(), ns=[2, 0], ks=[3, 1, 2, 3], ms=[12],
+)
+@example(  # the guardrail grid of a singular recurrence
+    family=SequenceFamily.custom(RecurrenceSpec((1, 1, 0), (1, 2, 0))),
+    ns=range(0, 21), ks=range(1, 21), ms=range(3, 11),
+)
 def test_plane_matches_cell_kernels(family, ns, ks, ms):
     seq = grid_slice(family, ns, ks, ms)
     plane = twice_shoelace_plane(seq, ns, ks, ms)
@@ -295,6 +322,32 @@ def test_plane_matches_cell_kernels(family, ns, ks, ms):
             # The flag proves collinearity, and holds wherever P_1 != P_0 does.
             apart = (xs[0], ys[0]) != (xs[1], ys[1])
             assert lines[cell] is (apart and collinear(xs, ys))
+
+
+class CountingOperator:
+    """The ``operator`` module, with every product counted."""
+
+    def __init__(self):
+        self.products = 0
+
+    def __getattr__(self, name):
+        return getattr(operator, name)
+
+    def mul(self, a, b):
+        self.products += 1
+        return a * b
+
+
+def test_plane_takes_two_products_per_vertex():
+    # Fan crosses F_j for j = 1 .. M-2, two products each, and no closing
+    # edge per m; no cell is collinear, so the flags take no product past F_1.
+    ns, ks, ms = range(0, 3), range(1, 4), range(3, 11)
+    seq = grid_slice(SequenceFamily.fibonacci(), ns, ks, ms)
+    counting = CountingOperator()
+    with mock.patch.object(geometry, "operator", counting):
+        plane = twice_shoelace_plane(seq, ns, ks, ms)
+    assert not any(any(lines) for _, lines in plane.values())
+    assert counting.products == 2 * (max(ms) - 2) * len(ns) * len(ks)
 
 
 @settings(max_examples=150, deadline=None)
