@@ -79,8 +79,8 @@ def closed_area_for(family: SequenceFamily, k: int, m: int) -> tuple[int, int]:
     Figurate vertices run clockwise: S = -2 * c * k^4 for the polygonal
     coefficient c, and q = 1.  Other families raise UnsupportedFamilyError.
     Only the three terms of U that S needs are read, whatever k: each from
-    U's small-index table if its index is at most 400, which grows the
-    table to that index and no further, or else by its own jump.
+    U's small-index table if its index is at most 400 (one list, grown in
+    place to that index and no further), or else by its own jump.
 
     >>> closed_area_for(SequenceFamily.fibonacci(), 2, 3)
     (15, -1)

@@ -340,8 +340,8 @@ def _ends(values: Sequence[int]) -> tuple[int, int]:
 # Grid guardrail: the largest sequence index a verification grid may reach.
 # It keeps term sizes in the low hundreds of digits and grid runs in seconds,
 # and every window that ends at or below it is sliced from one bounded table
-# per recurrence, a prefix grown only as far as the largest index read (see
-# ``_prefix``).  Only the engine reads it to choose a route: a window that
+# per recurrence, a list grown only as far as the largest index read (see
+# ``terms``).  Only the engine reads it to choose a route: a window that
 # ends past it is strided, whatever its start.
 MAX_SEQUENCE_INDEX = 400
 
@@ -457,46 +457,24 @@ def _strided(spec: RecurrenceSpec, start: int, count: int, step: int) -> list[in
 
 
 @functools.lru_cache(maxsize=64)
-def _small_table(spec: RecurrenceSpec) -> list[tuple[int, ...]]:
-    """The holder of one recurrence's small-index table: a one-slot list
-    whose tuple is the prefix f(0) .. f(j) built so far, empty at first.
-
-    :func:`_prefix` reads and grows it.  At most 64 recurrences are held.
-    """
-    return [()]
+def _small_table(spec: RecurrenceSpec) -> list[int]:
+    """One recurrence's small-index table: the list f(0) .. f(j) built so
+    far, the initial terms at first.  Only :func:`terms` grows and slices
+    it; at most 64 recurrences are held."""
+    return list(spec.initial_terms)
 
 
-# Taken only to store a grown prefix, never to read one.
-_storing = allocate_lock()
-
-
-def _prefix(spec: RecurrenceSpec, end: int) -> tuple[int, ...]:
-    """f(0) .. f(j) for some j >= ``end``, an ``end`` at most
-    MAX_SEQUENCE_INDEX: the stored prefix if it reaches f(end), or else
-    that prefix grown by forward iteration to f(end) and no further.
-
-    A grown prefix is a new tuple, stored whole if it is longer than the
-    one stored by then: a reader never sees a part-built prefix, and the
-    stored one never shrinks.  Two racing threads may build the same terms.
-    """
-    slot = _small_table(spec)
-    held = slot[0]
-    if len(held) > end:
-        return held
-    window = list(held if len(held) >= spec.order else spec.initial_terms[: end + 1])
-    grown = tuple(_extend(spec, window, end + 1))
-    with _storing:
-        if len(slot[0]) < len(grown):
-            slot[0] = grown
-    return grown
+# Taken only to grow a table, never to read one.
+_growing = allocate_lock()
 
 
 def terms(spec: RecurrenceSpec, start: int, count: int, step: int = 1) -> list[int]:
     """Exact f(start), f(start+step), .. f(start+(count-1)*step) of a recurrence.
 
     A window that ends at index MAX_SEQUENCE_INDEX or below is sliced from
-    the recurrence's small-index table, whose prefix grows to the window's
-    last index and no further (:func:`_prefix`).  Otherwise the engine
+    the recurrence's small-index table, a list that grows by forward
+    iteration to the window's last index and no further; the slice is a
+    new list, the caller's own.  Otherwise the engine
     jumps to ``start`` by powering x modulo the characteristic polynomial
     and strides by x**step, fetching no term between two it returns; with
     ``step`` 1 it strides only to the first ``order`` terms and iterates
@@ -512,11 +490,14 @@ def terms(spec: RecurrenceSpec, start: int, count: int, step: int = 1) -> list[i
         raise ValueError(f"term step must be >= 1, got {step}")
     last = start + (count - 1) * step
     if last <= MAX_SEQUENCE_INDEX:
-        # Most reads find f(last) stored: only a growth calls _prefix.
-        table = _small_table(spec)[0]
+        table = _small_table(spec)
         if len(table) <= last:
-            table = _prefix(spec, last)
-        return list(table[start : start + count * step : step])
+            # The table only grows, so a term below the length read here is
+            # final.  Nothing under the lock may call terms: a nested growth
+            # would append behind _extend's state.
+            with _growing:
+                _extend(spec, table, last + 1)
+        return table[start : start + count * step : step]
     if step > 1:
         return _strided(spec, start, count, step)
     return _extend(spec, _strided(spec, start, min(count, spec.order), 1), count)

@@ -2,7 +2,8 @@
 
 ``cli_corpus.json`` holds about 600 seeded argvs over every subcommand, CLI
 family, format and ``--method``, some with ``--out``, every ``REFUSALS``
-argv of ``test_cli.py`` and the fixed route pins of ``_route_pins``, each
+argv of ``test_cli.py`` and the fixed pins of ``_route_pins`` and
+``_degenerate_pins``, each
 with one SHA-256 of what ``cli.main`` gives for it: exit code, stdout,
 stderr and the ``--out`` file.
 ``test_corpus.py`` replays it in-process.
@@ -141,14 +142,35 @@ def _route_pins() -> list[list[str]]:
     return pins
 
 
+def _degenerate_pins() -> list[list[str]]:
+    """Fixed argvs whose terms are all zero, in every format: a
+    generalized grid with s = t = 0 (P1 = P0, so every cell falls back to
+    ``geometry.collinear``), its ``area --method both`` on both sides of
+    n = (2m-1)k, and the zero padovan start of ``gen`` and of
+    ``table third-order``."""
+    zero = ["generalized", "--s", "0", "--t", "0"]
+    pins = []
+    for fmt in FORMATS:
+        pins.append(["verify", *zero, "--n", "0..3", "--k", "1..3", "--m", "3..5",
+                     "--format", fmt])
+        for n, k, m in ((0, 1, 3), (3000, 100, 4)):
+            pins.append(["area", *zero, "--n", str(n), "--k", str(k), "--m", str(m),
+                         "--method", "both", "--format", fmt])
+        pins.append(["gen", "padovan", "--initial-terms", "0,0,0", "--count", "5",
+                     "--format", fmt])
+        pins.append(["table", "third-order", "--padovan-initial", "0,0,0",
+                     "--format", fmt])
+    return pins
+
+
 def generate() -> list[list[str]]:
     """The seeded argvs, then every refusal of ``test_cli.REFUSALS``, then
-    the route pins."""
+    the route pins and the degenerate pins."""
     sys.path.insert(0, str(Path(__file__).parent))
     from test_cli import REFUSALS
 
     argvs = _requests(random.Random(SEED)) + [list(argv) for argv, _ in REFUSALS]
-    argvs += _route_pins()
+    argvs += _route_pins() + _degenerate_pins()
     return list({json.dumps(argv): argv for argv in argvs}.values())  # once each
 
 

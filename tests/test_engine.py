@@ -355,7 +355,9 @@ class TestBounds:
         sys.setswitchinterval(1e-6)
         try:
             _small_table.cache_clear()
-            threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+            threads = [
+                threading.Thread(target=work, args=(i,), daemon=True) for i in range(4)
+            ]
             for t in threads:
                 t.start()
             for t in threads:
@@ -366,69 +368,82 @@ class TestBounds:
         assert [results[i] for i in range(4)] == [expected] * 4
 
 
-def stored(spec: RecurrenceSpec) -> tuple[int, ...]:
-    """The prefix of ``spec``'s small-index table stored so far."""
-    return _small_table(spec)[0]
-
-
 class TestTableGrowth:
-    """A read of f(j), j <= MAX_SEQUENCE_INDEX, stores f(0) .. f(j) and no more."""
+    """A read of f(j), j <= MAX_SEQUENCE_INDEX, grows the table to f(j), no further."""
 
     def test_grows_to_the_last_index_read(self):
         spec = preset(SequenceFamily.pell())
         _small_table.cache_clear()
         assert terms(spec, 0, 10) == forward(spec, 10)
-        assert len(stored(spec)) == 10
+        table = _small_table(spec)
+        assert len(table) == 10
         assert terms(spec, 5, 3, 7) == forward(spec, 20)[5::7]
-        assert len(stored(spec)) == 20
-        # A shorter read is sliced from the prefix and leaves it as it was.
+        assert len(table) == 20
+        # A shorter read is sliced from the table and leaves it as it was.
         assert terms(spec, 2, 4) == forward(spec, 6)[2:]
         assert terms(spec, 0, 0, 2) == []
-        assert stored(spec) == tuple(forward(spec, 20))
+        assert _small_table(spec) is table
+        assert table == forward(spec, 20)
+
+    def test_a_window_belongs_to_the_caller(self):
+        spec = preset(SequenceFamily.tribonacci())
+        _small_table.cache_clear()
+        window = terms(spec, 0, 30)
+        window[3] = -1
+        window.append(0)
+        assert terms(spec, 0, 30) == forward(spec, 30)
+        assert _small_table(spec) == forward(spec, 30)
 
     @pytest.mark.parametrize(
-        "family, start, count, length",
+        "family, start, count, held",
         [
             # A window that ends past the table is strided to its first
-            # terms and iterated forward, the table unread, wherever it
-            # starts: inside the table too.
+            # terms and iterated forward, the table neither read nor made,
+            # wherever it starts: inside the table too.
             (SequenceFamily.pell(), 399, 5, 0),
             (SequenceFamily.tribonacci(), 399, 5, 0),
             (SequenceFamily.tribonacci(), 0, 1000, 0),
         ],
     )
-    def test_never_stores_past_the_guardrail(self, family, start, count, length):
+    def test_never_stores_past_the_guardrail(self, family, start, count, held):
         spec = preset(family)
         _small_table.cache_clear()
         assert terms(spec, start, count) == forward(spec, start + count)[start:]
-        assert stored(spec) == tuple(forward(spec, length))
+        assert _small_table.cache_info().currsize == held
 
     def test_area_oracle_builds_only_its_window(self):
         pell = SequenceFamily.pell()
         _small_table.cache_clear()
         geometry.twice_polygon_area(pell, 30000, 5, 4)
-        assert len(stored(preset(pell))) == reach(0, 5, 4) + 1 == 36
+        assert len(_small_table(preset(pell))) == reach(0, 5, 4) + 1 == 36
 
     def test_closed_form_reads_u_to_its_span(self):
         # Pell-Lucas's U is the pell recurrence, read up to U((2m-2)k).
         _small_table.cache_clear()
         closed_area_for(SequenceFamily.pell_lucas(), 5, 4)
-        assert len(stored(preset(SequenceFamily.pell()))) == (2 * 4 - 2) * 5 + 1 == 31
+        pell = preset(SequenceFamily.pell())
+        assert len(_small_table(pell)) == (2 * 4 - 2) * 5 + 1 == 31
 
     def test_a_slower_growth_never_shrinks_the_prefix(self):
+        # A read of f(0) .. f(9) waits for the growth lock; while it waits,
+        # the table grows to f(29).  The waiting read must leave it there.
         spec = preset(SequenceFamily.pell())
-        extend = sequences._extend
-
-        def overtaken(spec_, window, count):
-            # While this growth to f(9) runs, another stores f(0) .. f(29).
-            if count == 10:
-                terms(spec, 0, 30)
-            return extend(spec_, window, count)
-
         _small_table.cache_clear()
-        with mock.patch.object(sequences, "_extend", overtaken):
-            assert terms(spec, 0, 10) == forward(spec, 10)
-        assert stored(spec) == tuple(forward(spec, 30))
+        table = _small_table(spec)
+        result: list[list[int]] = []
+        reader = threading.Thread(
+            target=lambda: result.append(terms(spec, 0, 10)), daemon=True
+        )
+        with sequences._growing:
+            reader.start()
+            reader.join(timeout=0.05)
+            assert reader.is_alive()  # a growth needs the lock
+            sequences._extend(spec, table, 30)
+        reader.join(timeout=60)
+        assert not reader.is_alive()
+        assert result == [forward(spec, 10)]
+        assert _small_table(spec) is table
+        assert table == forward(spec, 30)
 
     def test_racing_growth_agrees(self):
         spec = preset(SequenceFamily.tribonacci())
@@ -449,7 +464,9 @@ class TestTableGrowth:
         sys.setswitchinterval(1e-6)
         try:
             _small_table.cache_clear()
-            threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+            threads = [
+                threading.Thread(target=work, args=(i,), daemon=True) for i in range(4)
+            ]
             for t in threads:
                 t.start()
             for t in threads:
@@ -459,4 +476,4 @@ class TestTableGrowth:
         assert not any(t.is_alive() for t in threads)
         for i in range(4):
             assert results[i] == [expected[end // 3 : end + 1] for end in ends(i)]
-        assert stored(spec) == tuple(expected)
+        assert _small_table(spec) == expected
